@@ -38,7 +38,7 @@ from .linalg import (
     NumericError,
     hermitian_eigenvalues,
     partial_trace,
-    set_tolerance,
+    tolerance,
     von_neumann_entropy,
 )
 from .states import GWL_RANGE, WERNER_RANGE, WMatrix, gwl, werner
@@ -96,6 +96,11 @@ class CurveRow:
 
 def p_grid(start, stop, step):
     """Ascending arithmetic grid start, start + step, ... up to stop."""
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise UsageError(
+            "--p-start, --p-stop and --p-step must be finite, got %r, %r, %r"
+            % (start, stop, step)
+        )
     if step <= 0.0:
         raise UsageError("--p-step must be positive, got %r" % step)
     if stop < start:
@@ -105,8 +110,12 @@ def p_grid(start, stop, step):
 
 
 def compute_rows(cfg):
-    """Evaluate the sweep; qd_numeric/residual only when the oracle runs."""
+    """Evaluate the sweep; qd_numeric/residual only when the oracle runs.
+
+    The oracle runs once, on the stack of every row's density matrix.
+    """
     rows = []
+    rhos = []
     c_pure = None if cfg.kind == "werner" else concurrence_pure(cfg.psi)
     for p in p_grid(cfg.p_start, cfg.p_stop, cfg.p_step):
         if cfg.kind == "werner":
@@ -117,13 +126,14 @@ def compute_rows(cfg):
             conc = concurrence_gwl_analytic(c_pure, p)
             eof = eof_from_concurrence(conc)
             qd = qd_gwl_analytic(cfg.psi, p).discord
+        rows.append(CurveRow(p, eof, qd, None, None, conc))
         if cfg.oracle:
-            rho = werner(p) if cfg.kind == "werner" else gwl(cfg.psi, p)
-            qn = qd_numeric(rho, grid_n=cfg.grid_n)
-            res = abs(qd - qn) / max(abs(qd), RESIDUAL_FLOOR)
-            rows.append(CurveRow(p, eof, qd, qn, res, conc))
-        else:
-            rows.append(CurveRow(p, eof, qd, None, None, conc))
+            rhos.append(werner(p) if cfg.kind == "werner" else gwl(cfg.psi, p))
+    if cfg.oracle:
+        for row, qn in zip(rows, qd_numeric(rhos, grid_n=cfg.grid_n).tolist()):
+            qd = row.qd_analytic
+            row.qd_numeric = qn
+            row.residual = abs(qd - qn) / max(abs(qd), RESIDUAL_FLOOR)
     return rows
 
 
@@ -218,10 +228,9 @@ def _sweep_config(args):
 
 
 def cmd_sweep(args):
-    if args.tol is not None:
-        set_tolerance(args.tol)
-    cfg = _sweep_config(args)
-    text = csv_text(compute_rows(cfg), cfg.oracle)
+    with tolerance(args.tol):
+        cfg = _sweep_config(args)
+        text = csv_text(compute_rows(cfg), cfg.oracle)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -250,6 +259,10 @@ def cmd_verify(args):
 
 def _bisect(g, lo, hi, tol, label):
     g_lo, g_hi = g(lo), g(hi)
+    if g_lo == 0.0 and g_hi == 0.0:
+        raise NumericError(
+            "%s is zero at both ends of [%g, %g]; no isolated crossing" % (label, lo, hi)
+        )
     if g_lo == 0.0:
         return lo
     if g_hi == 0.0:
@@ -362,38 +375,37 @@ def _entropy_2x2(rho2):
 
 
 def cmd_state_info(args):
-    if args.tol is not None:
-        set_tolerance(args.tol)
-    kind, psi = build_state(args)
-    p = args.p
-    if p is None:
-        raise UsageError("state-info needs --p")
-    if kind == "werner":
-        rho = werner(p)
-        conc = concurrence_werner(p)
-        eof = eof_werner(p)
-        qd = qd_werner(p)
-    else:
-        rho = gwl(psi, p)
-        c_pure = concurrence_pure(psi)
-        conc = concurrence_gwl_analytic(c_pure, p)
-        eof = eof_from_concurrence(conc)
-        qd = qd_gwl_analytic(psi, p).discord
-        print("pure-state concurrence: %r" % c_pure)
-        if kind == "deformed":
-            spec = _deformation_spec(args)
-            print("overlap s: %r" % overlap(spec, args.alpha, args.deformed_kind))
-    eigs = hermitian_eigenvalues(rho).eigenvalues
-    print("eigenvalues: %s" % ", ".join(_fmt(v) for v in eigs))
-    print("concurrence: %r" % conc)
-    print("entropy_total: %r" % von_neumann_entropy(rho))
-    print("entropy_reduced_A: %r" % _entropy_2x2(partial_trace(rho, "B")))
-    print("entropy_reduced_B: %r" % _entropy_2x2(partial_trace(rho, "A")))
-    print("eof: %r" % eof)
-    print("qd_analytic: %r" % qd)
-    if args.oracle:
-        print("qd_numeric: %r" % qd_numeric(rho, grid_n=args.grid))
-    return 0
+    with tolerance(args.tol):
+        kind, psi = build_state(args)
+        p = args.p
+        if p is None:
+            raise UsageError("state-info needs --p")
+        if kind == "werner":
+            rho = werner(p)
+            conc = concurrence_werner(p)
+            eof = eof_werner(p)
+            qd = qd_werner(p)
+        else:
+            rho = gwl(psi, p)
+            c_pure = concurrence_pure(psi)
+            conc = concurrence_gwl_analytic(c_pure, p)
+            eof = eof_from_concurrence(conc)
+            qd = qd_gwl_analytic(psi, p).discord
+            print("pure-state concurrence: %s" % _fmt(c_pure))
+            if kind == "deformed":
+                spec = _deformation_spec(args)
+                print("overlap s: %s" % _fmt(overlap(spec, args.alpha, args.deformed_kind)))
+        eigs = hermitian_eigenvalues(rho).eigenvalues
+        print("eigenvalues: %s" % ", ".join(_fmt(v) for v in eigs))
+        print("concurrence: %s" % _fmt(conc))
+        print("entropy_total: %s" % _fmt(von_neumann_entropy(rho)))
+        print("entropy_reduced_A: %s" % _fmt(_entropy_2x2(partial_trace(rho, "B"))))
+        print("entropy_reduced_B: %s" % _fmt(_entropy_2x2(partial_trace(rho, "A"))))
+        print("eof: %s" % _fmt(eof))
+        print("qd_analytic: %s" % _fmt(qd))
+        if args.oracle:
+            print("qd_numeric: %s" % _fmt(qd_numeric(rho, grid_n=args.grid)))
+        return 0
 
 
 def _add_state_flags(sp):

@@ -24,11 +24,19 @@ into the total entropy so the p -> 1 limit evaluates cleanly.
 
 ``qd_numeric`` is the independent check: a deterministic direction grid
 followed by compass refinement down to 1e-9 radians, no closed forms
-involved anywhere on that path.
+involved anywhere on that path. It takes one 4x4 matrix or a stack of
+K of them; a single matrix is a stack of one. The grid phase runs state
+by state over a direction grid whose projector terms are computed once
+per grid size and cached. The refine phase runs the whole stack in
+lockstep: each poll evaluates the four compass moves of every state
+still refining in one vectorized call, while each state keeps its own
+best move, acceptance test and step halving, so every value is the one
+a search on that state alone gives.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,12 +50,11 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     binary_entropy,
-    is_hermitian,
     kronecker,
     partial_trace,
     resolve_tolerance,
 )
-from .states import GWL_RANGE, WERNER_RANGE, reduced_from_wmatrix, swap_qubits
+from .states import EXCHANGE, GWL_RANGE, WERNER_RANGE, reduced_from_wmatrix
 
 # Refinement stops once both angular steps drop below this (radians).
 REFINE_TARGET = 1e-9
@@ -111,7 +118,7 @@ def _xlog2x(u):
 
 def _check_p(p, lo, hi, what, tol):
     t = resolve_tolerance(tol)
-    if p < lo - t or p > hi + t:
+    if not lo - t <= p <= hi + t:
         raise DomainError("%s mixing parameter %r outside [%g, %g]" % (what, p, lo, hi))
 
 
@@ -140,7 +147,7 @@ def reduced_entropy_gwl(c_pure, p, tol=None):
     """
     t = resolve_tolerance(tol)
     c_pure = float(c_pure)
-    if c_pure < -t or c_pure > 1.0 + t:
+    if not -t <= c_pure <= 1.0 + t:
         raise DomainError("pure-state concurrence %r outside [0, 1]" % c_pure)
     c_pure = min(1.0, max(0.0, c_pure))
     p = float(p)
@@ -213,7 +220,7 @@ def mixing_after_measurement(p, prob_pi, tol=None):
     p = float(p)
     _check_p(p, GWL_RANGE[0], GWL_RANGE[1], "GWL", tol)
     prob_pi = float(prob_pi)
-    if prob_pi < -t or prob_pi > 1.0 + t:
+    if not -t <= prob_pi <= 1.0 + t:
         raise DomainError("projector expectation %r outside [0, 1]" % prob_pi)
     prob_pi = min(1.0, max(0.0, prob_pi))
     branch = (1.0 - p) / 2.0 + p * prob_pi
@@ -343,30 +350,45 @@ def _entropy_from_eigenvalues(eigs):
     return max(0.0, out)
 
 
-def _avg_conditional_entropy(blocks, rho_b, theta, phi):
-    """Average conditional entropy after measuring side A along (theta, phi).
-
-    Vectorized over equally-shaped ``theta``/``phi`` arrays; ``blocks``
-    holds the four 2x2 B-side blocks of rho, ``rho_b`` their partial
-    trace. The conditional state of branch m is
-    sum_ik Pi_m[k, i] blocks[i, k] / p_m; branch 1 follows from branch 0
-    by Pi_1 = I - Pi_0.
-    """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+def _projector_terms(theta, phi):
+    """Entries pi00, pi11, pi01, pi10 of Pi_0 for arrays of directions."""
     s = np.sin(2.0 * theta)
     nx = s * np.cos(phi)
     ny = s * np.sin(phi)
     nz = np.cos(2.0 * theta)
-    pi00 = 0.5 * (1.0 + nz)
-    pi11 = 0.5 * (1.0 - nz)
-    pi01 = 0.5 * (nx - 1j * ny)
-    pi10 = 0.5 * (nx + 1j * ny)
+    return 0.5 * (1.0 + nz), 0.5 * (1.0 - nz), 0.5 * (nx - 1j * ny), 0.5 * (nx + 1j * ny)
+
+
+@functools.lru_cache(maxsize=2)
+def _direction_grid(grid_n):
+    # the flattened (theta, phi) grid, its projector terms and its two
+    # spacings; every state measured on the same grid_n shares them
+    thetas = np.linspace(0.0, math.pi / 2.0, grid_n)
+    phis = np.linspace(0.0, 2.0 * math.pi, 2 * grid_n, endpoint=False)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    tt, pp = tt.ravel(), pp.ravel()
+    terms = _projector_terms(tt, pp)
+    for a in (tt, pp) + terms:
+        a.flags.writeable = False
+    return tt, pp, terms, float(thetas[1] - thetas[0]), float(phis[1] - phis[0])
+
+
+def _avg_conditional_entropy(blocks, rho_b, terms):
+    """Average conditional entropy after measuring side A.
+
+    ``blocks[..., i, k, :, :]`` are the four 2x2 B-side blocks of rho and
+    ``rho_b`` their partial trace; ``terms`` are the projector entries
+    of ``_projector_terms``, broadcast against the leading axes of
+    ``blocks``. The conditional state of branch m is
+    sum_ik Pi_m[k, i] blocks[i, k] / p_m; branch 1 follows from branch 0
+    by Pi_1 = I - Pi_0.
+    """
+    pi00, pi11, pi01, pi10 = (x[..., None, None] for x in terms)
     m0 = (
-        pi00[..., None, None] * blocks[0, 0]
-        + pi10[..., None, None] * blocks[0, 1]
-        + pi01[..., None, None] * blocks[1, 0]
-        + pi11[..., None, None] * blocks[1, 1]
+        pi00 * blocks[..., 0, 0, :, :]
+        + pi10 * blocks[..., 0, 1, :, :]
+        + pi01 * blocks[..., 1, 0, :, :]
+        + pi11 * blocks[..., 1, 1, :, :]
     )
     m1 = rho_b - m0
     return _branch_entropy(m0) + _branch_entropy(m1)
@@ -386,6 +408,20 @@ def _branch_entropy(m):
     return np.where(tr > BRANCH_EPS, tr * ent, 0.0)
 
 
+def _check_densities(stack, t, single):
+    # every matrix is checked before any oracle work starts
+    herm = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=(1, 2))
+    traces = np.real(np.trace(stack, axis1=1, axis2=2))
+    for k in range(len(stack)):
+        what = "density matrix" if single else "density matrix %d" % k
+        if not herm[k] <= t:
+            raise DomainError("%s is not Hermitian within tolerance" % what)
+        if not abs(traces[k] - 1.0) <= t:
+            raise DomainError(
+                "%s trace %g differs from 1 beyond tolerance" % (what, traces[k])
+            )
+
+
 def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     """Brute-force quantum discord by measurement minimization.
 
@@ -394,72 +430,105 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     both fall below 1e-9 radians. Rank-1 projective measurements only;
     no closed-form shortcuts anywhere on this path.
 
+    ``rho`` may be one 4x4 matrix or a stack of K of them. A stack is
+    searched in lockstep: the grid phase runs state by state over one
+    shared direction grid, then each compass poll evaluates the four
+    moves of every still-active state in one vectorized call. Each
+    state's own best move, acceptance test and step halving are those of
+    a search run on it alone, so its value does not depend on the rest
+    of the stack.
+
     Parameters
     ----------
     rho : array_like
-        4x4 density matrix (Hermitian, unit trace within tolerance).
+        4x4 density matrix, or a (K, 4, 4) stack of them (each
+        Hermitian, unit trace within tolerance). All of them are
+        validated before the search starts.
     partition : {"A", "B"}
         The measured side.
     grid_n : int
         Polar grid count, at least 8.
     refine_iters : int
-        Cap on refinement polls; exceeding it raises NumericError with
-        the best value found attached as ``best_value``.
+        Cap on refinement polls. Exceeding it raises NumericError for
+        the lowest-index state still refining, with its index attached
+        as ``index`` and the best value found as ``best_value``.
+
+    Returns
+    -------
+    float for a single matrix, else an array of K floats.
     """
     t = resolve_tolerance(tol)
     grid_n = int(grid_n)
     if grid_n < 8:
         raise DomainError("grid_n must be at least 8, got %d" % grid_n)
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise DomainError("expected a 4x4 density matrix, got shape %r" % (rho.shape,))
-    if not is_hermitian(rho, t):
-        raise DomainError("density matrix is not Hermitian within tolerance")
-    tr = float(np.real(np.trace(rho)))
-    if abs(tr - 1.0) > t:
-        raise DomainError("density matrix trace %g differs from 1 beyond tolerance" % tr)
-    if partition == "B":
-        rho = swap_qubits(rho)
-    elif partition != "A":
+    single = rho.ndim == 2
+    stack = rho[None] if single else rho
+    if stack.ndim != 3 or stack.shape[1:] != (4, 4):
+        raise DomainError(
+            "expected a 4x4 density matrix or a stack of them, got shape %r" % (rho.shape,)
+        )
+    if partition not in ("A", "B"):
         raise DomainError("partition must be 'A' or 'B', got %r" % (partition,))
+    _check_densities(stack, t, single)
+    if partition == "B":
+        stack = EXCHANGE @ stack @ EXCHANGE
+    n = len(stack)
+    # split[k, i, j, l, m] = <ij| rho_k |lm>; blocks[k, i, l] is the B-side block (i, l)
+    split = stack.reshape(n, 2, 2, 2, 2)
+    blocks = split.transpose(0, 1, 3, 2, 4)
+    rho_b = blocks[:, 0, 0] + blocks[:, 1, 1]
 
-    s_total = _entropy_from_eigenvalues(np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0))
-    rho_meas = partial_trace(rho, "B")
-    s_meas = _entropy_from_eigenvalues(np.clip(np.linalg.eigvalsh(rho_meas), 0.0, 1.0))
+    eig_total = np.clip(np.linalg.eigvalsh(stack), 0.0, 1.0)
+    eig_meas = np.clip(np.linalg.eigvalsh(np.einsum("kijlj->kil", split)), 0.0, 1.0)
+    offset = [
+        _entropy_from_eigenvalues(eig_meas[k]) - _entropy_from_eigenvalues(eig_total[k])
+        for k in range(n)
+    ]
 
-    blocks = rho.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
-    rho_b = blocks[0, 0] + blocks[1, 1]
+    tt, pp, terms, h_t0, h_p0 = _direction_grid(grid_n)
+    best = np.empty(n)
+    bt = np.empty(n)
+    bp = np.empty(n)
+    for k in range(n):
+        vals = _avg_conditional_entropy(blocks[k], rho_b[k], terms)
+        j = int(np.argmin(vals))
+        best[k], bt[k], bp[k] = vals[j], tt[j], pp[j]
 
-    thetas = np.linspace(0.0, math.pi / 2.0, grid_n)
-    phis = np.linspace(0.0, 2.0 * math.pi, 2 * grid_n, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    vals = _avg_conditional_entropy(blocks, rho_b, tt.ravel(), pp.ravel())
-    k = int(np.argmin(vals))
-    best = float(vals[k])
-    bt = float(tt.ravel()[k])
-    bp = float(pp.ravel()[k])
-
-    h_t = float(thetas[1] - thetas[0])
-    h_p = float(phis[1] - phis[0])
+    h_t = np.full(n, h_t0)
+    h_p = np.full(n, h_p0)
     polls = 0
-    while h_t >= REFINE_TARGET or h_p >= REFINE_TARGET:
+    while True:
+        act = np.flatnonzero((h_t >= REFINE_TARGET) | (h_p >= REFINE_TARGET))
+        if act.size == 0:
+            break
         if polls >= refine_iters:
-            result = s_meas - s_total + best
+            k = int(act[0])
+            result = offset[k] + float(best[k])
             err = NumericError(
-                "measurement minimization did not reach %g rad in %d polls; "
-                "best value %r" % (REFINE_TARGET, refine_iters, result)
+                "measurement minimization%s did not reach %g rad in %d polls; "
+                "best value %r"
+                % ("" if single else " of state %d" % k, REFINE_TARGET, refine_iters, result)
             )
+            err.index = k
             err.best_value = result
             raise err
-        moves = ((bt + h_t, bp), (bt - h_t, bp), (bt, bp + h_p), (bt, bp - h_p))
-        mvals = [float(_avg_conditional_entropy(blocks, rho_b, ct, cp)) for ct, cp in moves]
-        j = int(np.argmin(mvals))
-        if mvals[j] < best:
-            best = mvals[j]
-            bt, bp = moves[j]
-        else:
-            h_t *= 0.5
-            h_p *= 0.5
+        t0, p0, ht, hp = bt[act], bp[act], h_t[act], h_p[act]
+        move_t = np.stack((t0 + ht, t0 - ht, t0, t0), axis=1)
+        move_p = np.stack((p0, p0, p0 + hp, p0 - hp), axis=1)
+        mvals = _avg_conditional_entropy(
+            blocks[act, None], rho_b[act, None], _projector_terms(move_t, move_p)
+        )
+        rows = np.arange(act.size)
+        j = np.argmin(mvals, axis=1)
+        vj = mvals[rows, j]
+        won = vj < best[act]
+        best[act[won]] = vj[won]
+        bt[act[won]] = move_t[rows, j][won]
+        bp[act[won]] = move_p[rows, j][won]
+        h_t[act[~won]] *= 0.5
+        h_p[act[~won]] *= 0.5
         polls += 1
 
-    return s_meas - s_total + best
+    values = [offset[k] + float(best[k]) for k in range(n)]
+    return values[0] if single else np.array(values)

@@ -51,7 +51,7 @@ class ConcurrenceResult:
 
 def concurrence_pure(psi):
     """Concurrence 2 |det W| of a pure state."""
-    return 2.0 * abs(psi.determinant())
+    return float(2.0 * abs(psi.determinant()))
 
 
 def concurrence_mixed(rho, tol=None):
@@ -111,10 +111,10 @@ def concurrence_gwl_analytic(c_pure, p, tol=None):
     t = resolve_tolerance(tol)
     c_pure = float(c_pure)
     p = float(p)
-    if c_pure < -t or c_pure > 1.0 + t:
+    if not -t <= c_pure <= 1.0 + t:
         raise DomainError("pure-state concurrence %r outside [0, 1]" % c_pure)
     c_pure = min(1.0, max(0.0, c_pure))
-    if p < GWL_RANGE[0] - t or p > GWL_RANGE[1] + t:
+    if not GWL_RANGE[0] - t <= p <= GWL_RANGE[1] + t:
         raise DomainError("GWL mixing parameter %r outside [-1/3, 1]" % p)
     return max(0.0, p * c_pure - (1.0 - p) / 2.0)
 
@@ -123,7 +123,7 @@ def concurrence_werner(p, tol=None):
     """Concurrence of the Werner state: max{0, -(3p + 1)/2}."""
     t = resolve_tolerance(tol)
     p = float(p)
-    if p < WERNER_RANGE[0] - t or p > WERNER_RANGE[1] + t:
+    if not WERNER_RANGE[0] - t <= p <= WERNER_RANGE[1] + t:
         raise DomainError("Werner mixing parameter %r outside [-1, 1/3]" % p)
     return max(0.0, -(3.0 * p + 1.0) / 2.0)
 
@@ -132,7 +132,7 @@ def eof_from_concurrence(c, tol=None):
     """Entanglement of formation H2((1 + sqrt(1 - C^2)) / 2) in bits."""
     t = resolve_tolerance(tol)
     c = float(c)
-    if c < -t or c > 1.0 + t:
+    if not -t <= c <= 1.0 + t:
         raise DomainError("concurrence %r outside [0, 1]" % c)
     c = min(1.0, max(0.0, c))
     return binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0, tol)

@@ -6,13 +6,15 @@ two-qubit basis is ordered |ij> = |i>_A (x) |j>_B with row-major index
 entropies are in bits (log base 2).
 
 A single module-wide tolerance (default 1e-10) governs hermiticity,
-trace and positivity checks; see set_tolerance / get_tolerance.
+trace and positivity checks; see set_tolerance / get_tolerance, and
+``tolerance`` to override it for one block of code only.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +50,23 @@ def set_tolerance(tol):
 def get_tolerance():
     """Return the current package-wide numeric tolerance."""
     return _tolerance
+
+
+@contextmanager
+def tolerance(tol):
+    """Use ``tol`` as the package-wide tolerance inside a ``with`` block.
+
+    The previous value is restored on exit, also when the block raises;
+    ``tol=None`` leaves the current value in force.
+    """
+    global _tolerance
+    saved = _tolerance
+    if tol is not None:
+        set_tolerance(tol)
+    try:
+        yield
+    finally:
+        _tolerance = saved
 
 
 def resolve_tolerance(tol=None):
@@ -115,7 +134,7 @@ def binary_entropy(x, tol=None):
     """
     t = resolve_tolerance(tol)
     x = float(x)
-    if x < -t or x > 1.0 + t:
+    if not -t <= x <= 1.0 + t:
         raise DomainError("binary_entropy argument %r outside [0, 1]" % x)
     x = min(1.0, max(0.0, x))
     if x == 0.0 or x == 1.0:

@@ -65,7 +65,7 @@ class WMatrix:
         if m.shape != (2, 2):
             raise DomainError("WMatrix must be 2x2, got shape %r" % (m.shape,))
         norm = float(np.real(np.trace(m @ m.conj().T)))
-        if abs(norm - 1.0) > resolve_tolerance(tol):
+        if not abs(norm - 1.0) <= resolve_tolerance(tol):
             raise DomainError("state norm tr(W W+) = %.12g is not 1" % norm)
         m.flags.writeable = False
         self._m = m
@@ -149,7 +149,7 @@ def _check_range(p, lo, hi, what, unchecked, tol):
     if unchecked:
         return
     t = resolve_tolerance(tol)
-    if p < lo - t or p > hi + t:
+    if not lo - t <= p <= hi + t:
         raise DomainError("%s mixing parameter %r outside [%g, %g]" % (what, p, lo, hi))
 
 

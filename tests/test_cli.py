@@ -5,15 +5,20 @@ import pytest
 
 from qcorr import (
     DeformationSpec,
+    DomainError,
+    NumericError,
     WMatrix,
     concurrence_pure,
     eof_from_concurrence,
     eof_werner,
+    get_tolerance,
     overlap,
     qd_gwl_analytic,
     qd_werner,
+    werner,
 )
-from qcorr.cli import CurveRow, UsageError, _diagonal_wmatrix, csv_text, main, p_grid
+from qcorr.cli import CurveRow, UsageError, _bisect, _diagonal_wmatrix, csv_text, main, p_grid
+from qcorr.linalg import DEFAULT_TOLERANCE
 
 
 def test_p_grid():
@@ -228,3 +233,61 @@ def test_error_exit_codes(capsys):
     assert main(argv) == 1  # truncation outside the validity window
     assert "domain error" in capsys.readouterr().err
     assert main(["crossover", "--functional", "p-crossing", "--pair", "coherent-vs-a"]) == 1
+
+
+def test_state_info_prints_plain_floats(capsys):
+    rc = main(["state-info", "--kind", "gwl", "--concurrence", "0.5", "--p", "0.5", "--oracle", "--grid", "16"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "np." not in out
+    assert "pure-state concurrence: 0.49999999999999994\n" in out
+    for line in out.splitlines():
+        for token in line.partition(":")[2].split(","):
+            float(token)
+
+
+def test_tol_flag_does_not_outlive_its_command(capsys):
+    # -1.0005 is inside [-1, 1/3] only within the --tol of 1e-3
+    argv = ["sweep", "--kind", "werner", "--p-start", "-1.0005", "--p-stop", "-0.9", "--p-step", "0.05"]
+    assert main(argv) == 1
+    assert main(argv + ["--tol", "1e-3"]) == 0
+    assert get_tolerance() == DEFAULT_TOLERANCE
+    with pytest.warns(UserWarning, match="clamping"):
+        assert main(["state-info", "--kind", "werner", "--p", "-1.0005", "--tol", "1e-3"]) == 0
+    assert get_tolerance() == DEFAULT_TOLERANCE
+    # a command that fails restores the tolerance too
+    assert main(["state-info", "--kind", "werner", "--p", "0.5", "--tol", "1e-3"]) == 1
+    assert get_tolerance() == DEFAULT_TOLERANCE
+    capsys.readouterr()
+    with pytest.raises(DomainError):
+        werner(1.0 / 3.0 + 5e-4)
+
+
+def test_crossover_identical_states_exit_3(capsys):
+    # harmonic f(n) = 1 makes kinds C and A the same state: the gap is 0 everywhere
+    rc = main(["crossover", "--pair", "coherent-vs-a", "--family", "harmonic", "--nmax", "20", "--p-step", "0.1"])
+    assert rc == 3
+    assert "zero at both ends" in capsys.readouterr().err
+
+
+def test_bisect_endpoints():
+    assert _bisect(lambda a: a - 1.0, 1.0, 2.0, 1e-6, "g") == 1.0
+    assert _bisect(lambda a: a - 2.0, 1.0, 2.0, 1e-6, "g") == 2.0
+    assert abs(_bisect(lambda a: a - 1.25, 1.0, 2.0, 1e-9, "g") - 1.25) < 1e-9
+    with pytest.raises(NumericError, match="zero at both ends"):
+        _bisect(lambda a: 0.0, 1.0, 2.0, 1e-6, "g")
+
+
+def test_non_finite_input_is_rejected(capsys):
+    nan, inf = float("nan"), float("inf")
+    for args in ((nan, 1.0, 0.1), (0.0, nan, 0.1), (0.0, 1.0, nan), (0.0, inf, 0.1), (-inf, 1.0, 0.1)):
+        with pytest.raises(UsageError, match="finite"):
+            p_grid(*args)
+    assert main(["sweep", "--kind", "werner", "--p-step", "nan"]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert main(["sweep", "--kind", "gwl", "--concurrence", "0.5", "--p-start", "nan"]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert main(["state-info", "--kind", "werner", "--p", "nan"]) == 1
+    assert "domain error" in capsys.readouterr().err
+    assert main(["state-info", "--kind", "gwl", "--concurrence", "0.5", "--p", "nan"]) == 1
+    assert "domain error" in capsys.readouterr().err

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from qcorr import (
+    DeformationSpec,
     DomainError,
     MeasurementDirection,
     NumericError,
+    QuasiBellSpec,
     WMatrix,
     amplitude,
     binary_entropy,
@@ -27,14 +29,17 @@ from qcorr import (
     qd_gwl_analytic,
     qd_numeric,
     qd_werner,
+    quasi_bell_wmatrix,
     random_pure_state,
     reduced_entropy_gwl,
     reduced_from_wmatrix,
+    swap_qubits,
     von_neumann_entropy,
     werner,
 )
-from qcorr.discord import _branch_term
-from qcorr.linalg import PAULI_X, PAULI_Y, PAULI_Z
+from qcorr import discord as discord_module
+from qcorr.discord import BRANCH_EPS, REFINE_TARGET, _branch_term
+from qcorr.linalg import PAULI_X, PAULI_Y, PAULI_Z, is_hermitian, resolve_tolerance
 
 SQ2 = math.sqrt(2.0)
 
@@ -171,6 +176,8 @@ def test_mixing_after_measurement_domain():
         mixing_after_measurement(1.5, 0.5)
     with pytest.raises(NumericError):
         mixing_after_measurement(1.0, 0.0)  # empty branch
+    with pytest.raises(DomainError):
+        mixing_after_measurement(0.5, float("nan"))
 
 
 def test_amplitude():
@@ -311,3 +318,201 @@ def test_qd_numeric_refinement_cap():
         assert abs(err.best_value - qd_werner(-0.5)) < 1e-3
     else:
         raise AssertionError("expected NumericError from the poll cap")
+
+
+# --- stacked oracle against the serial search it replaced -----------------
+#
+# _serial_qd_numeric is the one-state qd_numeric as it stood before the
+# stacked lockstep search, kept verbatim as the reference: the stacked
+# search must give every state exactly (==) the value this gives it.
+
+
+def _serial_entropy_from_eigenvalues(eigs):
+    out = 0.0
+    for lam in eigs:
+        lam = float(lam)
+        if lam > 0.0:
+            out -= lam * math.log2(min(1.0, lam))
+    return max(0.0, out)
+
+
+def _serial_avg_conditional_entropy(blocks, rho_b, theta, phi):
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    s = np.sin(2.0 * theta)
+    nx = s * np.cos(phi)
+    ny = s * np.sin(phi)
+    nz = np.cos(2.0 * theta)
+    pi00 = 0.5 * (1.0 + nz)
+    pi11 = 0.5 * (1.0 - nz)
+    pi01 = 0.5 * (nx - 1j * ny)
+    pi10 = 0.5 * (nx + 1j * ny)
+    m0 = (
+        pi00[..., None, None] * blocks[0, 0]
+        + pi10[..., None, None] * blocks[0, 1]
+        + pi01[..., None, None] * blocks[1, 0]
+        + pi11[..., None, None] * blocks[1, 1]
+    )
+    m1 = rho_b - m0
+    return _serial_branch_entropy(m0) + _serial_branch_entropy(m1)
+
+
+def _serial_branch_entropy(m):
+    tr = np.real(m[..., 0, 0] + m[..., 1, 1])
+    det = np.real(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
+    disc = np.sqrt(np.clip(tr * tr - 4.0 * det, 0.0, None))
+    safe_tr = np.maximum(tr, BRANCH_EPS)
+    mu = np.clip(0.5 * (tr + disc) / safe_tr, 0.0, 1.0)
+    ent = np.zeros_like(mu)
+    inner = (mu > 0.0) & (mu < 1.0)
+    mu_in = mu[inner]
+    ent[inner] = -(mu_in * np.log2(mu_in) + (1.0 - mu_in) * np.log2(1.0 - mu_in))
+    return np.where(tr > BRANCH_EPS, tr * ent, 0.0)
+
+
+def _serial_qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
+    t = resolve_tolerance(tol)
+    grid_n = int(grid_n)
+    if grid_n < 8:
+        raise DomainError("grid_n must be at least 8, got %d" % grid_n)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise DomainError("expected a 4x4 density matrix, got shape %r" % (rho.shape,))
+    if not is_hermitian(rho, t):
+        raise DomainError("density matrix is not Hermitian within tolerance")
+    tr = float(np.real(np.trace(rho)))
+    if abs(tr - 1.0) > t:
+        raise DomainError("density matrix trace %g differs from 1 beyond tolerance" % tr)
+    if partition == "B":
+        rho = swap_qubits(rho)
+    elif partition != "A":
+        raise DomainError("partition must be 'A' or 'B', got %r" % (partition,))
+
+    s_total = _serial_entropy_from_eigenvalues(np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0))
+    rho_meas = partial_trace(rho, "B")
+    s_meas = _serial_entropy_from_eigenvalues(np.clip(np.linalg.eigvalsh(rho_meas), 0.0, 1.0))
+
+    blocks = rho.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    rho_b = blocks[0, 0] + blocks[1, 1]
+
+    thetas = np.linspace(0.0, math.pi / 2.0, grid_n)
+    phis = np.linspace(0.0, 2.0 * math.pi, 2 * grid_n, endpoint=False)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    vals = _serial_avg_conditional_entropy(blocks, rho_b, tt.ravel(), pp.ravel())
+    k = int(np.argmin(vals))
+    best = float(vals[k])
+    bt = float(tt.ravel()[k])
+    bp = float(pp.ravel()[k])
+
+    h_t = float(thetas[1] - thetas[0])
+    h_p = float(phis[1] - phis[0])
+    polls = 0
+    while h_t >= REFINE_TARGET or h_p >= REFINE_TARGET:
+        if polls >= refine_iters:
+            result = s_meas - s_total + best
+            err = NumericError(
+                "measurement minimization did not reach %g rad in %d polls; "
+                "best value %r" % (REFINE_TARGET, refine_iters, result)
+            )
+            err.best_value = result
+            raise err
+        moves = ((bt + h_t, bp), (bt - h_t, bp), (bt, bp + h_p), (bt, bp - h_p))
+        mvals = [float(_serial_avg_conditional_entropy(blocks, rho_b, ct, cp)) for ct, cp in moves]
+        j = int(np.argmin(mvals))
+        if mvals[j] < best:
+            best = mvals[j]
+            bt, bp = moves[j]
+        else:
+            h_t *= 0.5
+            h_p *= 0.5
+        polls += 1
+
+    return s_meas - s_total + best
+
+
+def _assert_stack_matches_serial(stack, **kw):
+    values = qd_numeric(stack, **kw)
+    assert isinstance(values, np.ndarray) and values.shape == (len(stack),)
+    for k, rho in enumerate(stack):
+        assert values[k] == _serial_qd_numeric(rho, **kw), k
+
+
+def test_qd_numeric_stack_equals_serial_werner_grid():
+    _assert_stack_matches_serial(np.array([werner(p) for p in np.linspace(-1.0, 1.0 / 3.0, 26)]))
+
+
+@pytest.mark.parametrize("partition", ["A", "B"])
+def test_qd_numeric_stack_equals_serial_random_gwl(partition):
+    rng = np.random.default_rng(2024)
+    for _ in range(5):
+        psi = random_pure_state(seed=int(rng.integers(1 << 30)))
+        ps = np.sort(rng.uniform(-1.0 / 3.0, 1.0, size=12))
+        stack = np.array([gwl(psi, p) for p in np.append(ps, 1.0)])
+        _assert_stack_matches_serial(stack, partition=partition)
+
+
+@pytest.mark.parametrize("partition", ["A", "B"])
+def test_qd_numeric_stack_equals_serial_deformed(partition):
+    specs = (
+        DeformationSpec("poschl_teller", N=10, n_max=9),
+        DeformationSpec("morse", N=10, n_max=3),
+        DeformationSpec("exciton", kappa=0.3, n_max=5),
+    )
+    stack = [
+        gwl(quasi_bell_wmatrix(QuasiBellSpec(spec, alpha, kind)), p)
+        for spec in specs
+        for kind, alpha in (("C", 0.7), ("A", 1.1), ("D", 1.4))
+        for p in (0.2, 0.9)
+    ]
+    # the one-sided classical state of the test above is not symmetric in A and B
+    plus = np.array([1.0, 1.0]) / SQ2
+    stack.append(
+        0.5 * kronecker(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
+        + 0.5 * kronecker(np.diag([0.0, 1.0]), np.outer(plus, plus))
+    )
+    _assert_stack_matches_serial(np.array(stack), partition=partition, grid_n=16)
+
+
+def test_qd_numeric_stack_of_one_equals_single_matrix():
+    rho = gwl(PSI3, 0.8)
+    single = qd_numeric(rho, partition="B")
+    assert type(single) is float
+    stacked = qd_numeric(rho[None], partition="B")
+    assert stacked.shape == (1,) and stacked[0] == single
+    assert qd_numeric(np.empty((0, 4, 4))).shape == (0,)
+
+
+def test_qd_numeric_stack_rejects_bad_matrix_before_searching(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started before validation finished")
+
+    monkeypatch.setattr(discord_module, "_avg_conditional_entropy", no_search)
+    good = werner(-0.5)
+    non_hermitian = np.triu(np.ones((4, 4))) / 4.0
+    for bad, what in ((non_hermitian, "not Hermitian"), (np.eye(4), "trace")):
+        with pytest.raises(DomainError, match="density matrix 2 .*%s" % what):
+            qd_numeric(np.array([good, good, bad, good]))
+    with pytest.raises(DomainError, match="not Hermitian"):
+        qd_numeric(werner(-0.5) + np.diag([0.0, 0.0, 0.0, np.nan]))
+    with pytest.raises(DomainError, match="stack"):
+        qd_numeric(np.zeros((2, 2, 4, 4)))
+
+
+def test_qd_numeric_stack_cap_reports_lowest_unconverged_state():
+    psi = random_pure_state(seed=3)
+    stack = np.array([werner(-0.5), gwl(psi, 0.7), gwl(psi, 0.9)])
+    # one poll leaves every state unconverged: state 0 is reported
+    with pytest.raises(NumericError) as info:
+        qd_numeric(stack, refine_iters=1)
+    with pytest.raises(NumericError) as ref:
+        _serial_qd_numeric(stack[0], refine_iters=1)
+    assert info.value.index == 0
+    assert info.value.best_value == ref.value.best_value
+    # 30 polls finish the isotropic Werner state but not the GWL ones
+    assert qd_numeric(stack[0], refine_iters=30) == _serial_qd_numeric(stack[0])
+    with pytest.raises(NumericError, match="of state 1 ") as info:
+        qd_numeric(stack, refine_iters=30)
+    with pytest.raises(NumericError) as ref:
+        _serial_qd_numeric(stack[1], refine_iters=30)
+    assert info.value.index == 1
+    assert info.value.best_value == ref.value.best_value

@@ -7,6 +7,7 @@ from qcorr import (
     DomainError,
     NumericError,
     WMatrix,
+    binary_entropy,
     concurrence_gwl_analytic,
     concurrence_mixed,
     concurrence_pure,
@@ -16,6 +17,8 @@ from qcorr import (
     gwl,
     local_unitary,
     pure_density,
+    qd_gwl_analytic,
+    qd_werner,
     random_pure_state,
     spin_flip,
     werner,
@@ -227,3 +230,26 @@ def test_spin_flip_route_consistency():
     vals = np.sort(np.sqrt(np.clip(np.linalg.eigvals(prod).real, 0.0, None)))[::-1]
     by_hand = max(0.0, vals[0] - vals[1] - vals[2] - vals[3])
     assert abs(by_hand - concurrence_werner(p)) < 1e-9
+
+
+def test_nan_and_inf_raise_domain_error():
+    nan, inf = float("nan"), float("inf")
+    calls = [
+        lambda x: binary_entropy(x),
+        lambda x: concurrence_werner(x),
+        lambda x: eof_werner(x),
+        lambda x: eof_from_concurrence(x),
+        lambda x: concurrence_gwl_analytic(x, 0.5),
+        lambda x: concurrence_gwl_analytic(0.5, x),
+        lambda x: werner(x),
+        lambda x: gwl(PSI3, x),
+        lambda x: qd_werner(x),
+        lambda x: qd_gwl_analytic(PSI3, x),
+    ]
+    for call in calls:
+        for x in (nan, inf, -inf):
+            with pytest.raises(DomainError):
+                call(x)
+    for text in ("nan 0 0 0", "inf 0 0 0"):
+        with pytest.raises(DomainError), np.errstate(invalid="ignore"):
+            WMatrix.from_text(text)

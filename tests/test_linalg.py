@@ -17,7 +17,7 @@ from qcorr import (
     set_tolerance,
     von_neumann_entropy,
 )
-from qcorr.linalg import DEFAULT_TOLERANCE, IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
+from qcorr.linalg import DEFAULT_TOLERANCE, IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, tolerance
 
 
 def random_hermitian(rng, n):
@@ -42,6 +42,18 @@ def test_tolerance_plumbing():
         set_tolerance(0.0)
     with pytest.raises(DomainError):
         set_tolerance(-1e-3)
+
+
+def test_tolerance_context_restores_on_exit():
+    with tolerance(1e-6):
+        assert get_tolerance() == 1e-6
+    assert get_tolerance() == DEFAULT_TOLERANCE
+    with pytest.raises(DomainError):
+        with tolerance(1e-3):
+            binary_entropy(2.0)
+    assert get_tolerance() == DEFAULT_TOLERANCE
+    with tolerance(None):
+        assert get_tolerance() == DEFAULT_TOLERANCE
 
 
 def test_pauli_constants():
