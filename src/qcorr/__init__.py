@@ -27,7 +27,6 @@ from .discord import (
     DiscordBreakdown,
     MeasurementDirection,
     PostMeasurement,
-    amplitude,
     conditional_entropy_gwl_analytic,
     entropy_gwl,
     entropy_werner,
@@ -35,6 +34,7 @@ from .discord import (
     luders_update,
     measurement_projector,
     mixing_after_measurement,
+    qd_gwl,
     qd_gwl_analytic,
     qd_numeric,
     qd_werner,
@@ -65,8 +65,6 @@ from .linalg import (
 )
 from .states import (
     EXCHANGE,
-    GwlState,
-    WernerState,
     WMatrix,
     gwl,
     local_unitary,
@@ -79,65 +77,3 @@ from .states import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DeformationSpec",
-    "DeformedKet",
-    "QuasiBellSpec",
-    "coherent_coefficients",
-    "concurrence_quasi_bell",
-    "deformation_value",
-    "deformed_factorial",
-    "displacement_validity",
-    "energy_level",
-    "hard_nmax",
-    "overlap",
-    "quasi_bell_wmatrix",
-    "select_nmax",
-    "DiscordBreakdown",
-    "MeasurementDirection",
-    "PostMeasurement",
-    "amplitude",
-    "conditional_entropy_gwl_analytic",
-    "entropy_gwl",
-    "entropy_werner",
-    "lifted_projector",
-    "luders_update",
-    "measurement_projector",
-    "mixing_after_measurement",
-    "qd_gwl_analytic",
-    "qd_numeric",
-    "qd_werner",
-    "reduced_entropy_gwl",
-    "ConcurrenceResult",
-    "concurrence_gwl_analytic",
-    "concurrence_mixed",
-    "concurrence_pure",
-    "concurrence_werner",
-    "eof_from_concurrence",
-    "eof_werner",
-    "DomainError",
-    "NumericError",
-    "Spectrum",
-    "binary_entropy",
-    "general_eigenvalues_4x4",
-    "get_tolerance",
-    "hermitian_eigenvalues",
-    "is_hermitian",
-    "kronecker",
-    "partial_trace",
-    "set_tolerance",
-    "von_neumann_entropy",
-    "EXCHANGE",
-    "GwlState",
-    "WernerState",
-    "WMatrix",
-    "gwl",
-    "local_unitary",
-    "pure_density",
-    "random_pure_state",
-    "reduced_from_wmatrix",
-    "spin_flip",
-    "swap_qubits",
-    "werner",
-]

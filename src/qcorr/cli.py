@@ -22,16 +22,17 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .deformed import DeformationSpec, QuasiBellSpec, overlap, quasi_bell_wmatrix, select_nmax
-from .discord import qd_gwl_analytic, qd_numeric, qd_werner
+from .discord import qd_gwl, qd_numeric, qd_werner
 from .entanglement import (
     concurrence_gwl_analytic,
     concurrence_pure,
     concurrence_werner,
     eof_from_concurrence,
-    eof_werner,
 )
 from .linalg import (
     DomainError,
@@ -50,6 +51,9 @@ RESIDUAL_FLOOR = 1e-6
 DEFAULT_VERIFY_THRESHOLD = 1e-8
 DEFAULT_ROOT_TOL = 1e-4
 DEFAULT_P_STEP = 0.01
+
+# Largest p grid a command may ask for; checked before the grid is built.
+MAX_GRID_POINTS = 1_000_000
 
 _FAMILY_FLAG = {
     "harmonic": "harmonic",
@@ -105,31 +109,34 @@ def p_grid(start, stop, step):
         raise UsageError("--p-step must be positive, got %r" % step)
     if stop < start:
         raise UsageError("--p-stop %r below --p-start %r" % (stop, start))
-    count = int(math.floor((stop - start) / step + 1e-9))
-    return [start + i * step for i in range(count + 1)]
+    last = (stop - start) / step + 1e-9
+    if not last < MAX_GRID_POINTS:
+        raise UsageError(
+            "--p-step %r gives more than %d grid points from %r to %r"
+            % (step, MAX_GRID_POINTS, start, stop)
+        )
+    return [start + i * step for i in range(int(math.floor(last)) + 1)]
 
 
 def compute_rows(cfg):
     """Evaluate the sweep; qd_numeric/residual only when the oracle runs.
 
-    The oracle runs once, on the stack of every row's density matrix.
+    The closed forms run once on the whole p grid, and the oracle once,
+    on the stack of every row's density matrix.
     """
-    rows = []
-    rhos = []
-    c_pure = None if cfg.kind == "werner" else concurrence_pure(cfg.psi)
-    for p in p_grid(cfg.p_start, cfg.p_stop, cfg.p_step):
-        if cfg.kind == "werner":
-            conc = concurrence_werner(p)
-            eof = eof_werner(p)
-            qd = qd_werner(p)
-        else:
-            conc = concurrence_gwl_analytic(c_pure, p)
-            eof = eof_from_concurrence(conc)
-            qd = qd_gwl_analytic(cfg.psi, p).discord
-        rows.append(CurveRow(p, eof, qd, None, None, conc))
-        if cfg.oracle:
-            rhos.append(werner(p) if cfg.kind == "werner" else gwl(cfg.psi, p))
+    ps = p_grid(cfg.p_start, cfg.p_stop, cfg.p_step)
+    if cfg.kind == "werner":
+        conc, qd = concurrence_werner(ps), qd_werner(ps)
+    else:
+        c_pure = concurrence_pure(cfg.psi)
+        conc, qd = concurrence_gwl_analytic(c_pure, ps), qd_gwl(c_pure, ps)
+    eof = eof_from_concurrence(conc)
+    rows = [
+        CurveRow(p, e, q, None, None, k)
+        for p, e, q, k in zip(ps, eof.tolist(), qd.tolist(), conc.tolist())
+    ]
     if cfg.oracle:
+        rhos = [werner(p) if cfg.kind == "werner" else gwl(cfg.psi, p) for p in ps]
         for row, qn in zip(rows, qd_numeric(rhos, grid_n=cfg.grid_n).tolist()):
             qd = row.qd_analytic
             row.qd_numeric = qn
@@ -164,22 +171,22 @@ def _diagonal_wmatrix(c):
     return WMatrix([[a, 0.0], [0.0, b]])
 
 
-def _deformation_spec(args, require_nmax=True):
+def _deformation_spec(args):
+    # the family flags as a spec; without --nmax, select_nmax picks the
+    # level at --alpha, so a command resolves this once and reuses it
     if args.family is None:
         raise UsageError("--family is required for deformed states")
-    family = _FAMILY_FLAG[args.family]
-    n_max = args.nmax
-    spec = DeformationSpec(family=family, N=args.N, kappa=args.kappa, n_max=n_max)
-    if n_max is None and require_nmax:
+    spec = DeformationSpec(
+        family=_FAMILY_FLAG[args.family], N=args.N, kappa=args.kappa, n_max=args.nmax
+    )
+    if spec.n_max is None:
         if args.alpha is None:
             raise UsageError("--alpha is required for deformed states")
-        n_max = select_nmax(spec, args.alpha, args.deformed_kind)
-        spec = DeformationSpec(family=family, N=args.N, kappa=args.kappa, n_max=n_max)
+        spec = replace(spec, n_max=select_nmax(spec, args.alpha, args.deformed_kind))
     return spec
 
 
-def _deformed_psi(args, alpha=None, kind=None):
-    spec = _deformation_spec(args)
+def _deformed_psi(spec, args, alpha=None, kind=None):
     qb = QuasiBellSpec(
         spec=spec,
         alpha=args.alpha if alpha is None else alpha,
@@ -190,21 +197,22 @@ def _deformed_psi(args, alpha=None, kind=None):
 
 
 def build_state(args):
-    """Resolve the state flags to (kind, psi or None)."""
+    """Resolve the state flags to (kind, psi or None, deformation spec or None)."""
     if args.kind == "werner":
-        return "werner", None
+        return "werner", None, None
     if args.kind == "gwl":
         given = [v is not None for v in (args.wmatrix, args.concurrence)]
         if sum(given) != 1:
             raise UsageError("gwl needs exactly one of --wmatrix or --concurrence")
         if args.wmatrix is not None:
             with open(args.wmatrix, "r", encoding="utf-8") as fh:
-                return "gwl", WMatrix.from_text(fh.read())
-        return "gwl", _diagonal_wmatrix(args.concurrence)
+                return "gwl", WMatrix.from_text(fh.read()), None
+        return "gwl", _diagonal_wmatrix(args.concurrence), None
     if args.kind == "deformed":
         if args.alpha is None:
             raise UsageError("--alpha is required for deformed states")
-        return "deformed", _deformed_psi(args)
+        spec = _deformation_spec(args)
+        return "deformed", _deformed_psi(spec, args), spec
     raise UsageError("unknown kind %r" % (args.kind,))
 
 
@@ -213,7 +221,7 @@ def _default_range(kind):
 
 
 def _sweep_config(args):
-    kind, psi = build_state(args)
+    kind, psi, _ = build_state(args)
     lo, hi = _default_range(kind)
     return SweepConfig(
         kind=kind,
@@ -284,13 +292,8 @@ def _bisect(g, lo, hi, tol, label):
     return 0.5 * (lo + hi)
 
 
-def _eof_minus_qd(psi, p_values):
-    c = concurrence_pure(psi)
-    return max(
-        eof_from_concurrence(concurrence_gwl_analytic(c, p))
-        - qd_gwl_analytic(psi, p).discord
-        for p in p_values
-    )
+def _eof_minus_qd(c_pure, p):
+    return eof_from_concurrence(concurrence_gwl_analytic(c_pure, p)) - qd_gwl(c_pure, p)
 
 
 def cmd_crossover(args):
@@ -305,14 +308,7 @@ def cmd_crossover(args):
             raise UsageError("--functional p-crossing only applies to --pair eof-qd")
         if args.alpha is None:
             raise UsageError("--functional p-crossing needs --alpha")
-        psi = _deformed_psi(args)
-        c = concurrence_pure(psi)
-
-        def h(p):
-            return eof_from_concurrence(concurrence_gwl_analytic(c, p)) - qd_gwl_analytic(
-                psi, p
-            ).discord
-
+        c = concurrence_pure(_deformed_psi(_deformation_spec(args), args))
         # scan downward from p = 1 for the highest sign change
         p_sep = 1.0 / (1.0 + 2.0 * c)
         scan = [1.0 - 1e-9]
@@ -320,14 +316,12 @@ def cmd_crossover(args):
         while p > p_sep + 1e-6:
             scan.append(p)
             p -= 1e-3
-        bracket = None
-        for a, b in zip(scan, scan[1:]):
-            if (h(a) > 0.0) != (h(b) > 0.0):
-                bracket = (b, a)
-                break
-        if bracket is None:
+        positive = _eof_minus_qd(c, scan) > 0.0
+        change = np.flatnonzero(positive[:-1] != positive[1:])
+        if change.size == 0:
             raise NumericError("EoF - QD does not change sign below p = 1 for this state")
-        root = _bisect(h, bracket[0], bracket[1], 1e-10, "EoF - QD")
+        i = int(change[0])
+        root = _bisect(lambda p: _eof_minus_qd(c, p), scan[i + 1], scan[i], 1e-10, "EoF - QD")
         print("crossover pair=eof-qd functional=p-crossing alpha=%r p=%r" % (args.alpha, root))
         print(
             "note: p-crossing reports the largest mixing parameter where the "
@@ -335,21 +329,22 @@ def cmd_crossover(args):
         )
         return 0
 
+    spec = _deformation_spec(args)
+
+    def concurrence_at(alpha, kind=None):
+        return concurrence_pure(_deformed_psi(spec, args, alpha=alpha, kind=kind))
+
     if args.pair == "eof-qd":
 
         def g(alpha):
-            return _eof_minus_qd(_deformed_psi(args, alpha=alpha), ps)
+            return float(np.max(_eof_minus_qd(concurrence_at(alpha), ps)))
 
         label = "max over p of EoF - QD"
     elif args.pair == "coherent-vs-a":
 
         def g(alpha):
-            psi_c = _deformed_psi(args, alpha=alpha, kind="C")
-            psi_a = _deformed_psi(args, alpha=alpha, kind="A")
-            return max(
-                qd_gwl_analytic(psi_c, p).discord - qd_gwl_analytic(psi_a, p).discord
-                for p in ps
-            )
+            gap = qd_gwl(concurrence_at(alpha, "C"), ps) - qd_gwl(concurrence_at(alpha, "A"), ps)
+            return float(np.max(gap))
 
         label = "max over p of QD(coherent) - QD(A)"
     else:
@@ -364,43 +359,31 @@ def cmd_crossover(args):
     return 0
 
 
-def _entropy_2x2(rho2):
-    spec = hermitian_eigenvalues(rho2)
-    out = 0.0
-    for lam in spec.eigenvalues:
-        lam = float(lam)
-        if lam > 0.0:
-            out -= lam * math.log2(min(1.0, lam))
-    return max(0.0, out)
-
-
 def cmd_state_info(args):
     with tolerance(args.tol):
-        kind, psi = build_state(args)
+        kind, psi, spec = build_state(args)
         p = args.p
         if p is None:
             raise UsageError("state-info needs --p")
         if kind == "werner":
             rho = werner(p)
             conc = concurrence_werner(p)
-            eof = eof_werner(p)
             qd = qd_werner(p)
         else:
             rho = gwl(psi, p)
             c_pure = concurrence_pure(psi)
             conc = concurrence_gwl_analytic(c_pure, p)
-            eof = eof_from_concurrence(conc)
-            qd = qd_gwl_analytic(psi, p).discord
+            qd = qd_gwl(c_pure, p)
             print("pure-state concurrence: %s" % _fmt(c_pure))
             if kind == "deformed":
-                spec = _deformation_spec(args)
                 print("overlap s: %s" % _fmt(overlap(spec, args.alpha, args.deformed_kind)))
+        eof = eof_from_concurrence(conc)
         eigs = hermitian_eigenvalues(rho).eigenvalues
         print("eigenvalues: %s" % ", ".join(_fmt(v) for v in eigs))
         print("concurrence: %s" % _fmt(conc))
         print("entropy_total: %s" % _fmt(von_neumann_entropy(rho)))
-        print("entropy_reduced_A: %s" % _fmt(_entropy_2x2(partial_trace(rho, "B"))))
-        print("entropy_reduced_B: %s" % _fmt(_entropy_2x2(partial_trace(rho, "A"))))
+        print("entropy_reduced_A: %s" % _fmt(von_neumann_entropy(partial_trace(rho, "B"))))
+        print("entropy_reduced_B: %s" % _fmt(von_neumann_entropy(partial_trace(rho, "A"))))
         print("eof: %s" % _fmt(eof))
         print("qd_analytic: %s" % _fmt(qd))
         if args.oracle:

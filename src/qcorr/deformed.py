@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discord import qd_gwl_analytic
+from .discord import qd_gwl
 from .linalg import DomainError, resolve_tolerance
 from .states import WMatrix
 
@@ -40,6 +40,9 @@ FAMILIES = ("harmonic", "poschl_teller", "exciton", "morse")
 
 #: select_nmax cap for the harmonic family, which has no physical bound.
 HARMONIC_CAP = 64
+
+#: Mixing parameter at which select_nmax compares the discord of successive levels.
+SELECT_NMAX_PROBE_P = 0.9
 
 _KINDS = {"a": "A", "d": "D", "c": "coherent", "coherent": "coherent"}
 
@@ -310,13 +313,13 @@ def concurrence_quasi_bell(qb):
     return (1.0 - s * s) / (1.0 + s * s)
 
 
-def select_nmax(spec, alpha, kind, tol=1e-10, probe_p=0.9):
+def select_nmax(spec, alpha, kind, tol=1e-10):
     """Smallest truncation level whose quantum discord has converged.
 
-    Compares the discord of the quasi-Bell state at the probe mixing
-    parameter for successive levels and returns the first n with
-    |QD(n) - QD(n + 1)| < tol. Bounded families cap the search at one
-    level below the validity window (so n + 1 stays evaluable); the
+    Compares the discord of the quasi-Bell state at the mixing parameter
+    SELECT_NMAX_PROBE_P for successive levels and returns the first n
+    with |QD(n) - QD(n + 1)| < tol. Bounded families cap the search at
+    one level below the validity window (so n + 1 stays evaluable); the
     harmonic family caps at HARMONIC_CAP. When the difference never
     drops below tol the cap is returned with a warning. spec.n_max is
     ignored.
@@ -325,18 +328,15 @@ def select_nmax(spec, alpha, kind, tol=1e-10, probe_p=0.9):
     cap = HARMONIC_CAP if limit is None else limit - 1
     if cap < 1:
         raise DomainError("family window leaves no room to compare levels (cap %d)" % cap)
-
-    def qd_at(n):
-        qb = QuasiBellSpec(replace(spec, n_max=n), alpha, kind, "plus")
-        psi = quasi_bell_wmatrix(qb)
-        return qd_gwl_analytic(psi, probe_p).discord
-
-    current = qd_at(1)
-    for n in range(1, cap + 1):
-        nxt = qd_at(n + 1)
-        if abs(current - nxt) < tol:
-            return n
-        current = nxt
+    # one ket at the top level gives the overlap of every truncation n:
+    # s_n = sum_{k<=n} (-1)^k c_k^2 / sum_{k<=n} c_k^2
+    weights = coherent_coefficients(replace(spec, n_max=cap + 1), alpha, kind).coefficients ** 2
+    signed = np.where(np.arange(weights.size) % 2 == 0, weights, -weights)
+    s = np.cumsum(signed)[1:] / np.cumsum(weights)[1:]
+    qd = qd_gwl((1.0 - s * s) / (1.0 + s * s), SELECT_NMAX_PROBE_P)
+    converged = np.flatnonzero(np.abs(np.diff(qd)) < tol)
+    if converged.size:
+        return int(converged[0]) + 1
     warnings.warn(
         "discord still moving by more than %g at the level cap; returning %d" % (tol, cap),
         stacklevel=2,

@@ -16,11 +16,17 @@ a pure-state mixture with mixing weight x_m, the optimal direction
 anti-aligns with the reduced Bloch vector, and the minimized average
 conditional entropy is
 
-    sum_m (1 -+ p d)/2 * H2((1 + x_m)/2),   d = 2 A,
+    sum_m (1 -+ p d)/2 * H2((1 + x_m)/2),   d = sqrt(1 - C^2),
 
-with A the reduced-state Bloch amplitude (A = sqrt(1 - C^2)/2 for the
-pure component). The remaining log terms are combined algebraically
-into the total entropy so the p -> 1 limit evaluates cleanly.
+with C the concurrence of the pure component. Every GWL closed form
+here (total, reduced and conditional entropies, x0/x1, discord) is
+therefore a plain numpy function of (C, p) alone, taking scalars or
+broadcastable arrays: a scalar call returns a Python float, and an
+array call returns elementwise the same values. Measuring side A or
+side B gives the same numbers because the two reduced states of a pure
+state share one spectrum, (1 +- sqrt(1 - C^2))/2, so the reduced
+entropies and the Bloch-vector length d agree; ``qd_gwl_analytic``
+accepts a partition only to return the breakdown in its terms.
 
 ``qd_numeric`` is the independent check: a deterministic direction grid
 followed by compass refinement down to 1e-9 radians, no closed forms
@@ -42,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entanglement import concurrence_pure
 from .linalg import (
     DomainError,
     IDENTITY_2,
@@ -50,11 +57,15 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     binary_entropy,
+    check_range,
+    eigenvalue_entropy,
+    float_or_array,
     kronecker,
     partial_trace,
     resolve_tolerance,
+    xlog2x,
 )
-from .states import EXCHANGE, GWL_RANGE, WERNER_RANGE, reduced_from_wmatrix
+from .states import EXCHANGE, GWL_RANGE, WERNER_RANGE
 
 # Refinement stops once both angular steps drop below this (radians).
 REFINE_TARGET = 1e-9
@@ -112,21 +123,10 @@ class DiscordBreakdown:
     amplitude: float
 
 
-def _xlog2x(u):
-    return 0.0 if u <= 0.0 else u * math.log2(u)
-
-
-def _check_p(p, lo, hi, what, tol):
-    t = resolve_tolerance(tol)
-    if not lo - t <= p <= hi + t:
-        raise DomainError("%s mixing parameter %r outside [%g, %g]" % (what, p, lo, hi))
-
-
 def entropy_werner(p, tol=None):
     """Total von Neumann entropy of the Werner state, in bits."""
-    p = float(p)
-    _check_p(p, WERNER_RANGE[0], WERNER_RANGE[1], "Werner", tol)
-    return 2.0 - _xlog2x(1.0 - 3.0 * p) / 4.0 - 3.0 * _xlog2x(1.0 + p) / 4.0
+    p = check_range(p, *WERNER_RANGE, "Werner mixing parameter", tol)
+    return float_or_array(2.0 - xlog2x(1.0 - 3.0 * p) / 4.0 - 3.0 * xlog2x(1.0 + p) / 4.0)
 
 
 def entropy_gwl(p, tol=None):
@@ -135,25 +135,8 @@ def entropy_gwl(p, tol=None):
     Depends on p only; the eigenvalues are (1 + 3p)/4 and (1 - p)/4
     (threefold) regardless of the pure component.
     """
-    p = float(p)
-    _check_p(p, GWL_RANGE[0], GWL_RANGE[1], "GWL", tol)
-    return 2.0 - 3.0 * _xlog2x(1.0 - p) / 4.0 - _xlog2x(1.0 + 3.0 * p) / 4.0
-
-
-def reduced_entropy_gwl(c_pure, p, tol=None):
-    """Entropy of either reduced side of a GWL state, in bits.
-
-    The reduced eigenvalues are (1 +- p sqrt(1 - c^2))/2.
-    """
-    t = resolve_tolerance(tol)
-    c_pure = float(c_pure)
-    if not -t <= c_pure <= 1.0 + t:
-        raise DomainError("pure-state concurrence %r outside [0, 1]" % c_pure)
-    c_pure = min(1.0, max(0.0, c_pure))
-    p = float(p)
-    _check_p(p, GWL_RANGE[0], GWL_RANGE[1], "GWL", tol)
-    delta0 = math.sqrt(1.0 - c_pure * c_pure)
-    return binary_entropy((1.0 + p * delta0) / 2.0, tol)
+    p = check_range(p, *GWL_RANGE, "GWL mixing parameter", tol)
+    return float_or_array(2.0 - 3.0 * xlog2x(1.0 - p) / 4.0 - xlog2x(1.0 + 3.0 * p) / 4.0)
 
 
 def measurement_projector(direction, m):
@@ -216,138 +199,121 @@ def mixing_after_measurement(p, prob_pi, tol=None):
         x_m = p <Pi_m> / p_m with branch probability
         p_m = (1 - p)/2 + p <Pi_m>.
     """
-    t = resolve_tolerance(tol)
-    p = float(p)
-    _check_p(p, GWL_RANGE[0], GWL_RANGE[1], "GWL", tol)
-    prob_pi = float(prob_pi)
-    if not -t <= prob_pi <= 1.0 + t:
-        raise DomainError("projector expectation %r outside [0, 1]" % prob_pi)
-    prob_pi = min(1.0, max(0.0, prob_pi))
+    p = check_range(p, *GWL_RANGE, "GWL mixing parameter", tol)
+    prob_pi = check_range(prob_pi, 0.0, 1.0, "projector expectation", tol)
     branch = (1.0 - p) / 2.0 + p * prob_pi
-    if branch <= t:
+    if np.any(branch <= resolve_tolerance(tol)):
         raise NumericError(
-            "degenerate measurement branch: probability %g within tolerance of zero" % branch
+            "degenerate measurement branch: probability %g within tolerance of zero"
+            % np.min(branch)
         )
-    return p * prob_pi / branch
+    return float_or_array(p * prob_pi / branch)
 
 
-def amplitude(psi, partition="A"):
-    """Half the Bloch-vector length of one reduced side of a pure state.
+def _gwl_closed_forms(c_pure, p, tol):
+    # (total, reduced, conditional entropy, x0, x1, d) on validated,
+    # clamped and broadcast (C, p), with d = sqrt(1 - C^2)
+    c_pure = check_range(c_pure, 0.0, 1.0, "pure-state concurrence", tol)
+    p = check_range(p, *GWL_RANGE, "GWL mixing parameter", tol)
+    d = np.sqrt(1.0 - c_pure * c_pure)
+    pd = p * d
+    # the x0 branch has probability (1 - p d)/2, which vanishes only at
+    # p = 1, d = 1; there the branch is empty and x0 is immaterial
+    # (its entropy is weighted by zero)
+    den0 = 1.0 - pd
+    empty = den0 <= BRANCH_EPS
+    x0 = np.where(empty, 1.0, p * (1.0 - d) / np.where(empty, 1.0, den0))
+    x1 = p * (1.0 + d) / (1.0 + pd)
+    cond = den0 / 2.0 * binary_entropy((1.0 + x0) / 2.0, tol) + (
+        1.0 + pd
+    ) / 2.0 * binary_entropy((1.0 + x1) / 2.0, tol)
+    s_red = binary_entropy((1.0 + pd) / 2.0, tol)
+    return entropy_gwl(p, tol), s_red, cond, x0, x1, d
 
-    This is the A of the conditional-entropy minimization: the smallest
-    achievable <Pi_0> over measurement directions is 1/2 - A. Both
-    partitions give the same value; it equals sqrt(1 - C^2)/2.
+
+def reduced_entropy_gwl(c_pure, p, tol=None):
+    """Entropy of either reduced side of a GWL state, in bits.
+
+    The reduced eigenvalues are (1 +- p sqrt(1 - c^2))/2.
     """
-    reduced = reduced_from_wmatrix(psi, partition)
-    r = np.array(
-        [
-            float(np.real(np.trace(reduced @ PAULI_X))),
-            float(np.real(np.trace(reduced @ PAULI_Y))),
-            float(np.real(np.trace(reduced @ PAULI_Z))),
-        ]
-    )
-    return 0.5 * float(np.linalg.norm(r))
+    return float_or_array(_gwl_closed_forms(c_pure, p, tol)[1])
 
 
-def _branch_term(p, x):
-    """Literal per-branch term F_p(x) = (1 - p)/(2 (1 - x)) H2((1 + x)/2).
-
-    Defined for x in [-1, 1); used in its cancelled form
-    p_m H2((1 + x_m)/2) inside the analytic conditional entropy, where
-    the (1 - x) denominator never appears.
-    """
-    p = float(p)
-    x = float(x)
-    if not -1.0 <= x < 1.0:
-        raise DomainError("branch mixing weight %r outside [-1, 1)" % x)
-    return (1.0 - p) / (2.0 * (1.0 - x)) * binary_entropy((1.0 + x) / 2.0)
-
-
-def _optimal_mixings(p, d):
-    # x at the minimizing direction; the x0 branch has probability
-    # (1 - p d)/2 which vanishes only at p = 1, d = 1, where the branch
-    # is empty and the value of x0 is immaterial (H2 factor times zero).
-    den0 = 1.0 - p * d
-    x0 = 1.0 if den0 <= BRANCH_EPS else p * (1.0 - d) / den0
-    x1 = p * (1.0 + d) / (1.0 + p * d)
-    return x0, x1
-
-
-def conditional_entropy_gwl_analytic(psi, p, partition="A", tol=None):
+def conditional_entropy_gwl_analytic(c_pure, p, tol=None):
     """Minimized average conditional entropy for a GWL state, in bits.
+
+    Parameters
+    ----------
+    c_pure : float or array_like
+        Concurrence of the pure component, in [0, 1].
+    p : float or array_like
+        Mixing parameter in [-1/3, 1]; broadcast against ``c_pure``.
 
     Returns
     -------
-    (value, x0, x1) : tuple of float
+    (value, x0, x1)
         The minimum of sum_m p_m S(conditional_m) over measurement
-        directions on ``partition``, and the two conditional mixing
+        directions on either side, and the two conditional mixing
         weights at the optimum.
     """
-    p = float(p)
-    _check_p(p, GWL_RANGE[0], GWL_RANGE[1], "GWL", tol)
-    d = 2.0 * amplitude(psi, partition)
-    x0, x1 = _optimal_mixings(p, d)
-    value = (1.0 - p * d) / 2.0 * binary_entropy((1.0 + x0) / 2.0, tol) + (
-        1.0 + p * d
-    ) / 2.0 * binary_entropy((1.0 + x1) / 2.0, tol)
-    return value, x0, x1
+    _, _, cond, x0, x1, _ = _gwl_closed_forms(c_pure, p, tol)
+    return float_or_array(cond), float_or_array(x0), float_or_array(x1)
 
 
 def qd_werner(p, tol=None):
     """Closed-form quantum discord of the Werner state, in bits."""
-    p = float(p)
-    _check_p(p, WERNER_RANGE[0], WERNER_RANGE[1], "Werner", tol)
-    return (
+    p = check_range(p, *WERNER_RANGE, "Werner mixing parameter", tol)
+    return float_or_array(
         binary_entropy((1.0 + p) / 2.0, tol)
         - 1.0
-        + _xlog2x(1.0 - 3.0 * p) / 4.0
-        + 3.0 * _xlog2x(1.0 + p) / 4.0
+        + xlog2x(1.0 - 3.0 * p) / 4.0
+        + 3.0 * xlog2x(1.0 + p) / 4.0
     )
+
+
+def qd_gwl(c_pure, p, tol=None):
+    """Closed-form quantum discord of a GWL state from (C, p), in bits.
+
+    ``c_pure`` is the concurrence of the pure component and ``p`` the
+    mixing parameter; either may be an array and they broadcast. The
+    discord is
+
+        delta = S[rho_measured] - S[rho] + min conditional entropy,
+
+    the same for measurements on either side.
+    """
+    total, s_red, cond, _, _, _ = _gwl_closed_forms(c_pure, p, tol)
+    return float_or_array(s_red - total + cond)
 
 
 def qd_gwl_analytic(psi, p, partition="A", tol=None):
     """Closed-form quantum discord of a GWL state with full breakdown.
 
-    The measurement acts on ``partition``; the discord is
+    A thin wrapper over the (C, p) closed forms with C the concurrence
+    of ``psi``: the measurement acts on ``partition``, and both sides
+    give the same values. At p = 1 the discord equals the entanglement
+    of formation.
 
-        delta = S[rho_measured] - S[rho] + min conditional entropy,
-
-    evaluated with the log terms combined so that p = 1 is the exact
-    pure-state limit (discord equals the entanglement of formation
-    there).
+    x0, x1 and the amplitude depend on d = sqrt(1 - C^2) to first order,
+    so where C rounds a few ulps away from 1 they carry an absolute
+    error of about 1e-8; the entropies and the discord are even in d
+    and keep full precision there.
     """
     if partition not in ("A", "B"):
         raise DomainError("partition must be 'A' or 'B', got %r" % (partition,))
-    p = float(p)
-    _check_p(p, GWL_RANGE[0], GWL_RANGE[1], "GWL", tol)
-    other = "B" if partition == "A" else "A"
-    amp_meas = amplitude(psi, partition)
-    amp_other = amplitude(psi, other)
-    cond, x0, x1 = conditional_entropy_gwl_analytic(psi, p, partition, tol)
-    total = entropy_gwl(p, tol)
-    s_meas = binary_entropy((1.0 + 2.0 * p * amp_meas) / 2.0, tol)
-    s_other = binary_entropy((1.0 + 2.0 * p * amp_other) / 2.0, tol)
-    s_a, s_b = (s_meas, s_other) if partition == "A" else (s_other, s_meas)
+    parts = _gwl_closed_forms(concurrence_pure(psi), p, tol)
+    total, s_red, cond, x0, x1, d = (float_or_array(v) for v in parts)
     return DiscordBreakdown(
         total_entropy=total,
-        reduced_entropy_A=s_a,
-        reduced_entropy_B=s_b,
+        reduced_entropy_A=s_red,
+        reduced_entropy_B=s_red,
         conditional_entropy=cond,
-        mutual_information=s_a + s_b - total,
-        discord=s_meas - total + cond,
+        mutual_information=s_red + s_red - total,
+        discord=s_red - total + cond,
         x0=x0,
         x1=x1,
-        amplitude=amp_meas,
+        amplitude=d / 2.0,
     )
-
-
-def _entropy_from_eigenvalues(eigs):
-    out = 0.0
-    for lam in eigs:
-        lam = float(lam)
-        if lam > 0.0:
-            out -= lam * math.log2(min(1.0, lam))
-    return max(0.0, out)
 
 
 def _projector_terms(theta, phi):
@@ -482,7 +448,7 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     eig_total = np.clip(np.linalg.eigvalsh(stack), 0.0, 1.0)
     eig_meas = np.clip(np.linalg.eigvalsh(np.einsum("kijlj->kil", split)), 0.0, 1.0)
     offset = [
-        _entropy_from_eigenvalues(eig_meas[k]) - _entropy_from_eigenvalues(eig_total[k])
+        eigenvalue_entropy(eig_meas[k]) - eigenvalue_entropy(eig_total[k])
         for k in range(n)
     ]
 

@@ -2,7 +2,8 @@
 
 Three routes to the concurrence live here:
 
-* ``concurrence_pure``: 2 |det W| for a pure state given as a WMatrix.
+* ``concurrence_pure``: 2 |det W| / tr(W W+) for a pure state given as a
+  WMatrix.
 * ``concurrence_mixed``: the general mixed-state formula
   C = max{0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)} from the
   eigenvalues of rho rho~ (rho~ the spin-flipped state), computed fully
@@ -14,27 +15,31 @@ Three routes to the concurrence live here:
 
 EoF is the usual binary-entropy function of the concurrence. Values are
 clipped only after full floating-point evaluation; no epsilon padding.
+
+The closed forms depend on the pure component only through its
+concurrence C and on the mixing parameter p (or on p alone for Werner
+states), so they are plain numpy functions of (C, p) that take scalars
+or broadcastable arrays: a scalar call returns a Python float. Nothing
+in them depends on which side is measured or traced out, because the
+two reduced states of a pure state share one spectrum,
+(1 +- sqrt(1 - C^2))/2.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
-    DomainError,
     NumericError,
-    PAULI_Y,
     binary_entropy,
+    check_range,
+    float_or_array,
     general_eigenvalues_4x4,
-    kronecker,
     resolve_tolerance,
 )
-from .states import GWL_RANGE, WERNER_RANGE, spin_flip
-
-_FLIP = kronecker(PAULI_Y, PAULI_Y)
+from .states import _SPIN_FLIP_CONJ, GWL_RANGE, WERNER_RANGE, spin_flip
 
 
 @dataclass(frozen=True)
@@ -50,8 +55,14 @@ class ConcurrenceResult:
 
 
 def concurrence_pure(psi):
-    """Concurrence 2 |det W| of a pure state."""
-    return float(2.0 * abs(psi.determinant()))
+    """Concurrence 2 |det W| / tr(W W+) of a pure state.
+
+    Dividing by the norm gives the concurrence of the normalized state,
+    so a W whose norm is off by rounding, such as I / sqrt(2), still
+    reads exactly 1.
+    """
+    m = psi.matrix
+    return float(2.0 * abs(psi.determinant()) / np.real(np.vdot(m, m)))
 
 
 def concurrence_mixed(rho, tol=None):
@@ -86,7 +97,7 @@ def concurrence_mixed(rho, tol=None):
     weights, vectors = np.linalg.eigh(rho)
     weights = np.clip(weights, 0.0, None)
     subnormalized = vectors * np.sqrt(weights)
-    overlap = subnormalized.T @ _FLIP @ subnormalized
+    overlap = subnormalized.T @ _SPIN_FLIP_CONJ @ subnormalized
     roots = np.linalg.svd(overlap, compute_uv=False)
     value = max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
     return ConcurrenceResult(value=value, sqrt_eigenvalues=roots)
@@ -97,45 +108,32 @@ def concurrence_gwl_analytic(c_pure, p, tol=None):
 
     Parameters
     ----------
-    c_pure : float
+    c_pure : float or array_like
         Concurrence of the pure component, in [0, 1].
-    p : float
-        Mixing parameter in [-1/3, 1].
+    p : float or array_like
+        Mixing parameter in [-1/3, 1]; broadcast against ``c_pure``.
 
     Returns
     -------
-    float
+    float or ndarray
         max{0, p c_pure - (1 - p)/2}; zero exactly for
         p <= 1/(1 + 2 c_pure).
     """
-    t = resolve_tolerance(tol)
-    c_pure = float(c_pure)
-    p = float(p)
-    if not -t <= c_pure <= 1.0 + t:
-        raise DomainError("pure-state concurrence %r outside [0, 1]" % c_pure)
-    c_pure = min(1.0, max(0.0, c_pure))
-    if not GWL_RANGE[0] - t <= p <= GWL_RANGE[1] + t:
-        raise DomainError("GWL mixing parameter %r outside [-1/3, 1]" % p)
-    return max(0.0, p * c_pure - (1.0 - p) / 2.0)
+    c_pure = check_range(c_pure, 0.0, 1.0, "pure-state concurrence", tol)
+    p = check_range(p, *GWL_RANGE, "GWL mixing parameter", tol)
+    return float_or_array(np.maximum(0.0, p * c_pure - (1.0 - p) / 2.0))
 
 
 def concurrence_werner(p, tol=None):
     """Concurrence of the Werner state: max{0, -(3p + 1)/2}."""
-    t = resolve_tolerance(tol)
-    p = float(p)
-    if not WERNER_RANGE[0] - t <= p <= WERNER_RANGE[1] + t:
-        raise DomainError("Werner mixing parameter %r outside [-1, 1/3]" % p)
-    return max(0.0, -(3.0 * p + 1.0) / 2.0)
+    p = check_range(p, *WERNER_RANGE, "Werner mixing parameter", tol)
+    return float_or_array(np.maximum(0.0, -(3.0 * p + 1.0) / 2.0))
 
 
 def eof_from_concurrence(c, tol=None):
     """Entanglement of formation H2((1 + sqrt(1 - C^2)) / 2) in bits."""
-    t = resolve_tolerance(tol)
-    c = float(c)
-    if not -t <= c <= 1.0 + t:
-        raise DomainError("concurrence %r outside [0, 1]" % c)
-    c = min(1.0, max(0.0, c))
-    return binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0, tol)
+    c = check_range(c, 0.0, 1.0, "concurrence", tol)
+    return binary_entropy((1.0 + np.sqrt(1.0 - c * c)) / 2.0, tol)
 
 
 def eof_werner(p, tol=None):

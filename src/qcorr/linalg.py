@@ -123,23 +123,46 @@ class Spectrum:
             raise DomainError("eigenvalue sum %g differs from 1 beyond tolerance" % total)
 
 
+def check_range(x, lo, hi, what, tol=None):
+    """Validate ``x`` against [lo, hi] and return it clamped to that interval.
+
+    ``x`` may be a scalar or an array; the result is a float64 array (or
+    numpy scalar) of the same shape. Values within tolerance outside the
+    interval are clamped; NaN, infinities and anything further out raise
+    DomainError naming the first offending value.
+    """
+    t = resolve_tolerance(tol)
+    x = np.asarray(x, dtype=float)
+    ok = (lo - t <= x) & (x <= hi + t)
+    if not ok.all():
+        raise DomainError("%s %r outside [%g, %g]" % (what, float(x[~ok][0]), lo, hi))
+    return np.clip(x, lo, hi)
+
+
+def float_or_array(x):
+    """A Python float for a scalar result, else the array; -0.0 reads 0.0."""
+    x = np.asarray(x) + 0.0
+    return float(x) if x.ndim == 0 else x
+
+
+def xlog2x(u):
+    """u log2 u elementwise, with 0 log 0 = 0 (and 0 for u <= 0)."""
+    u = np.asarray(u, dtype=float)
+    pos = u > 0.0
+    return np.where(pos, u * np.log2(np.where(pos, u, 1.0)), 0.0)
+
+
 def binary_entropy(x, tol=None):
     """Binary Shannon entropy H2(x) in bits, with 0 log 0 = 0.
 
     Parameters
     ----------
-    x : float
+    x : float or array_like
         Probability. Values within tolerance outside [0, 1] are clamped;
-        anything further out raises DomainError.
+        anything further out, or NaN, raises DomainError.
     """
-    t = resolve_tolerance(tol)
-    x = float(x)
-    if not -t <= x <= 1.0 + t:
-        raise DomainError("binary_entropy argument %r outside [0, 1]" % x)
-    x = min(1.0, max(0.0, x))
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
+    x = check_range(x, 0.0, 1.0, "binary_entropy argument", tol)
+    return float_or_array(-(xlog2x(x) + xlog2x(1.0 - x)))
 
 
 def hermitian_eigenvalues(m, tol=None):
@@ -207,8 +230,18 @@ def von_neumann_entropy(rho, tol=None):
     if float(np.min(spectrum.eigenvalues)) < -t:
         raise DomainError("density matrix is not positive semidefinite within tolerance")
     spectrum.check_density(t)
+    return eigenvalue_entropy(spectrum.eigenvalues)
+
+
+def eigenvalue_entropy(eigs):
+    """-sum lam log2 lam in bits over the positive eigenvalues.
+
+    A scalar math.log2 loop in the order the eigenvalues are given: the
+    oracle's values are pinned bit for bit to this summation, so it is
+    not vectorized.
+    """
     out = 0.0
-    for lam in spectrum.eigenvalues:
+    for lam in eigs:
         lam = float(lam)
         if lam > 0.0:
             out -= lam * math.log2(min(1.0, lam))

@@ -11,20 +11,15 @@ Mixed families:
   where F4 is the two-qubit exchange (swap) operator. The state is pure
   exactly at p = -1, where it equals the singlet Bell projector.
 * GWL:     rho(psi,p) = (1 - p)/4 * I4 + p |psi><psi|, p in [-1/3, 1].
-
-Both families accept an ``unchecked`` escape hatch that skips the
-mixing-parameter range check, for callers probing outside the physical
-window on purpose.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DomainError, PAULI_Y, kronecker, resolve_tolerance
+from .linalg import DomainError, PAULI_Y, check_range, kronecker, resolve_tolerance
 
 WERNER_RANGE = (-1.0, 1.0 / 3.0)
 GWL_RANGE = (-1.0 / 3.0, 1.0)
@@ -145,61 +140,23 @@ def pure_density(psi):
     return np.outer(ket, ket.conj())
 
 
-def _check_range(p, lo, hi, what, unchecked, tol):
-    if unchecked:
-        return
-    t = resolve_tolerance(tol)
-    if not lo - t <= p <= hi + t:
-        raise DomainError("%s mixing parameter %r outside [%g, %g]" % (what, p, lo, hi))
-
-
-def werner(p, unchecked=False, tol=None):
+def werner(p, tol=None):
     """Werner state (1 - p)/4 * I4 + p/2 * F4 for p in [-1, 1/3].
 
     Pure only at p = -1 (the singlet projector); maximally mixed at
     p = 0; separable on [-1/3, 1/3].
     """
     p = float(p)
-    _check_range(p, WERNER_RANGE[0], WERNER_RANGE[1], "Werner", unchecked, tol)
+    # validated only: the matrix is built from p as given
+    check_range(p, *WERNER_RANGE, "Werner mixing parameter", tol)
     return (1.0 - p) / 4.0 * np.eye(4, dtype=complex) + p / 2.0 * EXCHANGE
 
 
-def gwl(psi, p, unchecked=False, tol=None):
+def gwl(psi, p, tol=None):
     """Generalized Werner-like state (1 - p)/4 * I4 + p |psi><psi|."""
     p = float(p)
-    _check_range(p, GWL_RANGE[0], GWL_RANGE[1], "GWL", unchecked, tol)
+    check_range(p, *GWL_RANGE, "GWL mixing parameter", tol)
     return (1.0 - p) / 4.0 * np.eye(4, dtype=complex) + p * pure_density(psi)
-
-
-@dataclass(frozen=True)
-class WernerState:
-    """Werner mixture with mixing parameter p in [-1, 1/3]."""
-
-    p: float
-    unchecked: bool = False
-
-    def __post_init__(self):
-        _check_range(float(self.p), WERNER_RANGE[0], WERNER_RANGE[1],
-                     "Werner", self.unchecked, None)
-
-    def density(self):
-        return werner(self.p, unchecked=True)
-
-
-@dataclass(frozen=True)
-class GwlState:
-    """GWL mixture of a pure state psi with parameter p in [-1/3, 1]."""
-
-    psi: WMatrix
-    p: float
-    unchecked: bool = False
-
-    def __post_init__(self):
-        _check_range(float(self.p), GWL_RANGE[0], GWL_RANGE[1],
-                     "GWL", self.unchecked, None)
-
-    def density(self):
-        return gwl(self.psi, self.p, unchecked=True)
 
 
 def spin_flip(rho):

@@ -17,6 +17,7 @@ from qcorr import (
     qd_werner,
     werner,
 )
+from qcorr import cli
 from qcorr.cli import CurveRow, UsageError, _bisect, _diagonal_wmatrix, csv_text, main, p_grid
 from qcorr.linalg import DEFAULT_TOLERANCE
 
@@ -32,6 +33,15 @@ def test_p_grid():
         p_grid(0.0, 1.0, 0.0)
     with pytest.raises(UsageError):
         p_grid(1.0, 0.0, 0.1)
+
+
+def test_p_grid_caps_the_point_count(capsys):
+    # about 2e6 points: the count is refused before any list is built
+    with pytest.raises(UsageError, match="more than 1000000 grid points"):
+        p_grid(0.0, 1.0, 5e-7)
+    assert len(p_grid(0.0, 1.0, 1.0 / 999999.0)) == cli.MAX_GRID_POINTS
+    assert main(["sweep", "--kind", "werner", "--p-step", "5e-7"]) == 1
+    assert "grid points" in capsys.readouterr().err
 
 
 def test_csv_text():
@@ -145,6 +155,7 @@ def test_crossover_p_crossing(capsys):
     assert rc == 0
     line = capsys.readouterr().out.splitlines()[0]
     assert line.startswith("crossover pair=eof-qd functional=p-crossing alpha=0.65 p=")
+    assert "np." not in line
     p_root = float(line.rsplit("=", 1)[1])
     assert abs(p_root - 0.8785091086924077) < 1e-6
 
@@ -172,6 +183,7 @@ def test_crossover_ordering_switch(capsys):
     assert rc == 0
     line = capsys.readouterr().out.splitlines()[0]
     assert line.startswith("crossover pair=coherent-vs-a functional=alpha-max-p alpha=")
+    assert "np." not in line
     alpha = float(line.rsplit("=", 1)[1])
     assert abs(alpha - 1.30216) < 1e-3
 
@@ -291,3 +303,30 @@ def test_non_finite_input_is_rejected(capsys):
     assert "domain error" in capsys.readouterr().err
     assert main(["state-info", "--kind", "gwl", "--concurrence", "0.5", "--p", "nan"]) == 1
     assert "domain error" in capsys.readouterr().err
+
+
+def test_deformed_spec_is_resolved_once_per_command(monkeypatch, capsys):
+    # without --nmax, select_nmax picks the level once, however often the
+    # command builds a state (twice per bisection step in coherent-vs-a)
+    calls = []
+    real = cli.select_nmax
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "select_nmax", counting)
+    morse = ["--family", "morse", "--N", "10", "--alpha", "1.2"]
+    commands = [
+        ["state-info", "--kind", "deformed", "--p", "0.8"] + morse,
+        ["sweep", "--kind", "deformed", "--p-step", "0.1"] + morse,
+        ["crossover", "--pair", "eof-qd", "--functional", "p-crossing", "--deformed-kind", "A"] + morse,
+        ["crossover", "--pair", "coherent-vs-a", "--p-step", "0.05"] + morse,
+    ]
+    for argv in commands:
+        calls.clear()
+        # Morse N=10 stalls at its level cap, which select_nmax reports once
+        with pytest.warns(UserWarning, match="level cap"):
+            assert main(argv) == 0, argv
+        assert len(calls) == 1, argv
+    capsys.readouterr()

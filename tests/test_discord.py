@@ -11,8 +11,6 @@ from qcorr import (
     NumericError,
     QuasiBellSpec,
     WMatrix,
-    amplitude,
-    binary_entropy,
     concurrence_pure,
     conditional_entropy_gwl_analytic,
     eof_from_concurrence,
@@ -38,7 +36,7 @@ from qcorr import (
     werner,
 )
 from qcorr import discord as discord_module
-from qcorr.discord import BRANCH_EPS, REFINE_TARGET, _branch_term
+from qcorr.discord import BRANCH_EPS, REFINE_TARGET
 from qcorr.linalg import PAULI_X, PAULI_Y, PAULI_Z, is_hermitian, resolve_tolerance
 
 SQ2 = math.sqrt(2.0)
@@ -181,26 +179,17 @@ def test_mixing_after_measurement_domain():
 
 
 def test_amplitude():
-    assert amplitude(PSI_PLUS) < 1e-15
-    assert abs(amplitude(PRODUCT) - 0.5) < 1e-15
+    # the breakdown's A = sqrt(1 - C^2)/2 is half the Bloch-vector length
+    # of the measured side's reduced state, on either side
+    assert qd_gwl_analytic(PSI_PLUS, 0.5).amplitude < 1e-15
+    assert abs(qd_gwl_analytic(PRODUCT, 0.5).amplitude - 0.5) < 1e-15
     for seed in range(10):
         psi = random_pure_state(seed=seed)
-        c = concurrence_pure(psi)
-        expected = 0.5 * math.sqrt(1.0 - c * c)
-        assert abs(amplitude(psi, "A") - expected) < 1e-12
-        assert abs(amplitude(psi, "B") - expected) < 1e-12
-
-
-def test_branch_term_literal_form():
-    # F_p(x) = (1-p) / (2 (1-x)) H2((1+x)/2)
-    for p in (0.2, 0.7):
-        for x in (-0.5, 0.0, 0.3, 0.9):
-            expected = (1.0 - p) / (2.0 * (1.0 - x)) * binary_entropy((1.0 + x) / 2.0)
-            assert abs(_branch_term(p, x) - expected) < 1e-15
-    with pytest.raises(DomainError):
-        _branch_term(0.5, 1.0)
-    with pytest.raises(DomainError):
-        _branch_term(0.5, -1.5)
+        for side in ("A", "B"):
+            reduced = reduced_from_wmatrix(psi, side)
+            bloch = [np.trace(reduced @ pauli).real for pauli in (PAULI_X, PAULI_Y, PAULI_Z)]
+            expected = 0.5 * np.linalg.norm(bloch)
+            assert abs(qd_gwl_analytic(psi, 0.5, partition=side).amplitude - expected) < 1e-12
 
 
 def test_conditional_entropy_against_explicit_measurement():
@@ -217,7 +206,7 @@ def test_conditional_entropy_against_explicit_measurement():
                 b = luders_update(rho, direction, m)
                 avg += b.probability * von_neumann_entropy(b.conditional_state_B)
                 xs.append(b.mixing_x)
-            value, x0, x1 = conditional_entropy_gwl_analytic(psi, p)
+            value, x0, x1 = conditional_entropy_gwl_analytic(concurrence_pure(psi), p)
             assert abs(value - avg) < 1e-10
             assert abs(min(xs) - min(x0, x1)) < 1e-10
             assert abs(max(xs) - max(x0, x1)) < 1e-10
@@ -227,15 +216,16 @@ def test_conditional_entropy_limits():
     for seed in range(5):
         psi = random_pure_state(seed=seed)
         # p = 0: the conditional state is maximally mixed either way
-        value, x0, x1 = conditional_entropy_gwl_analytic(psi, 0.0)
+        c = concurrence_pure(psi)
+        value, x0, x1 = conditional_entropy_gwl_analytic(c, 0.0)
         assert abs(value - 1.0) < 1e-14
         assert x0 == 0.0 and x1 == 0.0
         # p = 1: rank-1 measurement of a pure state leaves pure
         # conditionals, zero entropy, both mixing weights at 1
-        value, x0, x1 = conditional_entropy_gwl_analytic(psi, 1.0)
+        value, x0, x1 = conditional_entropy_gwl_analytic(c, 1.0)
         assert value == 0.0
         assert x0 == 1.0 and x1 == 1.0
-    value, _, _ = conditional_entropy_gwl_analytic(PRODUCT, 1.0)
+    value, _, _ = conditional_entropy_gwl_analytic(0.0, 1.0)
     assert value == 0.0
 
 
@@ -258,7 +248,7 @@ def test_qd_gwl_breakdown_consistency():
             assert abs(out.discord - (out.reduced_entropy_A - out.total_entropy + out.conditional_entropy)) < 1e-14
             assert abs(out.mutual_information - (out.reduced_entropy_A + out.reduced_entropy_B - out.total_entropy)) < 1e-14
             assert abs(out.total_entropy - entropy_gwl(p)) < 1e-14
-            assert abs(out.amplitude - amplitude(psi)) < 1e-14
+            assert abs(out.amplitude - math.sqrt(1.0 - c * c) / 2.0) < 1e-14
             # measuring either side gives the same discord for a GWL
             assert abs(out.discord - qd_gwl_analytic(psi, p, partition="B").discord) < 1e-14
         assert abs(qd_gwl_analytic(psi, 0.0).discord) < 1e-12

@@ -7,8 +7,6 @@ import pytest
 from qcorr import (
     EXCHANGE,
     DomainError,
-    GwlState,
-    WernerState,
     WMatrix,
     gwl,
     hermitian_eigenvalues,
@@ -141,7 +139,6 @@ def test_werner_basic():
         werner(0.4)
     with pytest.raises(DomainError):
         werner(-1.01)
-    werner(0.4, unchecked=True)  # escape hatch skips the range check
 
 
 def test_werner_eigenvalues_across_range():
@@ -170,24 +167,11 @@ def test_gwl_basic():
         gwl(PSI_PLUS, -0.5)
     with pytest.raises(DomainError):
         gwl(PSI_PLUS, 1.2)
-    gwl(PSI_PLUS, 1.2, unchecked=True)
 
 
 def test_gwl_of_singlet_is_werner():
     for p in np.arange(-1.0 / 3.0, 1.0 / 3.0 + 1e-9, 0.01):
         assert np.max(np.abs(gwl(PHI_MINUS, -p) - werner(p))) < 1e-15
-
-
-def test_state_dataclasses():
-    w = WernerState(p=-0.5)
-    assert np.array_equal(w.density(), werner(-0.5))
-    g = GwlState(psi=PSI3, p=0.7)
-    assert np.array_equal(g.density(), gwl(PSI3, 0.7))
-    with pytest.raises(DomainError):
-        WernerState(p=0.4)
-    with pytest.raises(DomainError):
-        GwlState(psi=PSI3, p=-0.5)
-    assert WernerState(p=0.4, unchecked=True).p == 0.4
 
 
 def test_spin_flip():
