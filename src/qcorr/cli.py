@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 usage or domain error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -419,7 +420,13 @@ def _add_range_flags(sp):
     sp.add_argument("--p-step", type=float, default=DEFAULT_P_STEP)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The qcorr argument parser, built once per process.
+
+    Parsing leaves the parser unchanged and every call starts from a
+    fresh namespace, so later commands see the defaults again.
+    """
     parser = _Parser(prog="qcorr", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -25,19 +25,38 @@ broadcastable arrays: a scalar call returns a Python float, and an
 array call returns elementwise the same values. Measuring side A or
 side B gives the same numbers because the two reduced states of a pure
 state share one spectrum, (1 +- sqrt(1 - C^2))/2, so the reduced
-entropies and the Bloch-vector length d agree; ``qd_gwl_analytic``
-accepts a partition only to return the breakdown in its terms.
+entropies and the Bloch-vector length d agree. ``qd_gwl_analytic``
+reads d itself from the measured side's reduced Bloch vector, which
+keeps x0, x1 and the amplitude precise where C rounds to just below 1.
 
 ``qd_numeric`` is the independent check: a deterministic direction grid
 followed by compass refinement down to 1e-9 radians, no closed forms
 involved anywhere on that path. It takes one 4x4 matrix or a stack of
-K of them; a single matrix is a stack of one. The grid phase runs state
-by state over a direction grid whose projector terms are computed once
-per grid size and cached. The refine phase runs the whole stack in
-lockstep: each poll evaluates the four compass moves of every state
-still refining in one vectorized call, while each state keeps its own
-best move, acceptance test and step halving, so every value is the one
-a search on that state alone gives.
+K of them; a single matrix is a stack of one. Both phases share one
+kernel, which works on the entries of 2x2 blocks rather than on stacks
+of 2x2 matrices. With B_ik the B-side blocks of rho, rho_B their
+partial trace and pi_ki the entries of Pi_0, the unnormalized branch
+states are, entry by entry,
+
+    m0[r, s] = pi00 B00[r, s] + pi10 B01[r, s] + pi01 B10[r, s] + pi11 B11[r, s],
+    m1[r, s] = rho_B[r, s] - m0[r, s],
+
+and each branch's p_m S(conditional) follows from its trace and
+determinant. The grid phase runs state by state: the block entries are
+scalars and the projector terms are arrays over a direction grid that
+is computed once per grid size and cached. The refine phase runs the
+whole stack in lockstep: the block entries are columns over the states
+still refining and the terms hold their four compass moves, so one call
+evaluates a whole poll, while each state keeps its own best move,
+acceptance test and step halving.
+
+Every value is therefore the one a search on that state alone gives,
+bit for bit: each element of the kernel's output goes through the same
+IEEE operations in the same order, whatever the shape of the batch it
+is computed in, and the cached real terms pi00, pi11 are stored as the
+complex128 values numpy's float -> complex promotion gives them. The
+tests hold a one-state serial search as the reference and compare with
+``==``.
 """
 
 from __future__ import annotations
@@ -65,7 +84,7 @@ from .linalg import (
     resolve_tolerance,
     xlog2x,
 )
-from .states import EXCHANGE, GWL_RANGE, WERNER_RANGE
+from .states import EXCHANGE, GWL_RANGE, WERNER_RANGE, reduced_from_wmatrix
 
 # Refinement stops once both angular steps drop below this (radians).
 REFINE_TARGET = 1e-9
@@ -210,12 +229,14 @@ def mixing_after_measurement(p, prob_pi, tol=None):
     return float_or_array(p * prob_pi / branch)
 
 
-def _gwl_closed_forms(c_pure, p, tol):
+def _gwl_closed_forms(c_pure, p, tol, d=None):
     # (total, reduced, conditional entropy, x0, x1, d) on validated,
-    # clamped and broadcast (C, p), with d = sqrt(1 - C^2)
+    # clamped and broadcast (C, p), with d = sqrt(1 - C^2) unless the
+    # caller has d itself
     c_pure = check_range(c_pure, 0.0, 1.0, "pure-state concurrence", tol)
     p = check_range(p, *GWL_RANGE, "GWL mixing parameter", tol)
-    d = np.sqrt(1.0 - c_pure * c_pure)
+    if d is None:
+        d = np.sqrt(1.0 - c_pure * c_pure)
     pd = p * d
     # the x0 branch has probability (1 - p d)/2, which vanishes only at
     # p = 1, d = 1; there the branch is empty and x0 is immaterial
@@ -294,14 +315,18 @@ def qd_gwl_analytic(psi, p, partition="A", tol=None):
     give the same values. At p = 1 the discord equals the entanglement
     of formation.
 
-    x0, x1 and the amplitude depend on d = sqrt(1 - C^2) to first order,
-    so where C rounds a few ulps away from 1 they carry an absolute
-    error of about 1e-8; the entropies and the discord are even in d
-    and keep full precision there.
+    x0, x1 and the amplitude are first order in d = sqrt(1 - C^2), which
+    loses about half the digits where C rounds a few ulps away from 1.
+    So d is read directly as the length of the measured side's reduced
+    Bloch vector, sqrt((r00 - r11)^2 + 4 |r01|^2) / tr r, which keeps full
+    precision there: a locally rotated Bell state gives x0 = p and
+    amplitude 0 to within an ulp. The values can differ from
+    ``qd_gwl(C, p)`` in the last bits.
     """
-    if partition not in ("A", "B"):
-        raise DomainError("partition must be 'A' or 'B', got %r" % (partition,))
-    parts = _gwl_closed_forms(concurrence_pure(psi), p, tol)
+    reduced = reduced_from_wmatrix(psi, partition)
+    r00, r11 = reduced[0, 0].real, reduced[1, 1].real
+    d = min(1.0, math.hypot(r00 - r11, 2.0 * abs(reduced[0, 1])) / (r00 + r11))
+    parts = _gwl_closed_forms(concurrence_pure(psi), p, tol, d)
     total, s_red, cond, x0, x1, d = (float_or_array(v) for v in parts)
     return DiscordBreakdown(
         total_entropy=total,
@@ -325,45 +350,54 @@ def _projector_terms(theta, phi):
     return 0.5 * (1.0 + nz), 0.5 * (1.0 - nz), 0.5 * (nx - 1j * ny), 0.5 * (nx + 1j * ny)
 
 
+# the (row, column) order in which the oracle kernel lists 2x2 entries
+_ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 @functools.lru_cache(maxsize=2)
 def _direction_grid(grid_n):
     # the flattened (theta, phi) grid, its projector terms and its two
-    # spacings; every state measured on the same grid_n shares them
+    # spacings; every state measured on the same grid_n shares them. The
+    # real terms pi00, pi11 are stored as complex128, which is the value
+    # numpy's own float -> complex promotion would give them in the
+    # kernel's products, so the cast moves no bit and is paid once
     thetas = np.linspace(0.0, math.pi / 2.0, grid_n)
     phis = np.linspace(0.0, 2.0 * math.pi, 2 * grid_n, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
     tt, pp = tt.ravel(), pp.ravel()
-    terms = _projector_terms(tt, pp)
+    terms = tuple(x.astype(complex) for x in _projector_terms(tt, pp))
     for a in (tt, pp) + terms:
         a.flags.writeable = False
     return tt, pp, terms, float(thetas[1] - thetas[0]), float(phis[1] - phis[0])
 
 
 def _avg_conditional_entropy(blocks, rho_b, terms):
-    """Average conditional entropy after measuring side A.
+    """Average conditional entropy after measuring side A, entry by entry.
 
-    ``blocks[..., i, k, :, :]`` are the four 2x2 B-side blocks of rho and
-    ``rho_b`` their partial trace; ``terms`` are the projector entries
-    of ``_projector_terms``, broadcast against the leading axes of
-    ``blocks``. The conditional state of branch m is
-    sum_ik Pi_m[k, i] blocks[i, k] / p_m; branch 1 follows from branch 0
-    by Pi_1 = I - Pi_0.
+    ``blocks[i, k, r, s]`` is entry (r, s) of the B-side block (i, k) of
+    rho and ``rho_b[r, s]`` the same entry of their partial trace; each
+    entry is a scalar or an array that broadcasts against the projector
+    entries ``terms`` of ``_projector_terms``. The conditional state of
+    branch m is sum_ik Pi_m[k, i] blocks[i, k] / p_m; branch 1 follows
+    from branch 0 by Pi_1 = I - Pi_0.
     """
-    pi00, pi11, pi01, pi10 = (x[..., None, None] for x in terms)
-    m0 = (
-        pi00 * blocks[..., 0, 0, :, :]
-        + pi10 * blocks[..., 0, 1, :, :]
-        + pi01 * blocks[..., 1, 0, :, :]
-        + pi11 * blocks[..., 1, 1, :, :]
-    )
-    m1 = rho_b - m0
-    return _branch_entropy(m0) + _branch_entropy(m1)
+    pi00, pi11, pi01, pi10 = terms
+    m0 = [
+        pi00 * blocks[0, 0, r, s]
+        + pi10 * blocks[0, 1, r, s]
+        + pi01 * blocks[1, 0, r, s]
+        + pi11 * blocks[1, 1, r, s]
+        for r, s in _ENTRIES
+    ]
+    m1 = [rho_b[rs] - m for rs, m in zip(_ENTRIES, m0)]
+    return _branch_entropy(*m0) + _branch_entropy(*m1)
 
 
-def _branch_entropy(m):
-    # p_m * S(conditional) for a stack of unnormalized 2x2 branch states
-    tr = np.real(m[..., 0, 0] + m[..., 1, 1])
-    det = np.real(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
+def _branch_entropy(m00, m01, m10, m11):
+    # p_m * S(conditional) from the entries of unnormalized 2x2 branch
+    # states, each entry an array over directions
+    tr = np.real(m00 + m11)
+    det = np.real(m00 * m11 - m01 * m10)
     disc = np.sqrt(np.clip(tr * tr - 4.0 * det, 0.0, None))
     safe_tr = np.maximum(tr, BRANCH_EPS)
     mu = np.clip(0.5 * (tr + disc) / safe_tr, 0.0, 1.0)
@@ -401,8 +435,12 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     shared direction grid, then each compass poll evaluates the four
     moves of every still-active state in one vectorized call. Each
     state's own best move, acceptance test and step halving are those of
-    a search run on it alone, so its value does not depend on the rest
-    of the stack.
+    a search run on it alone. Both phases evaluate the conditional
+    entropies with one entry-wise kernel (see the module docstring) that
+    applies the same elementwise operations in the same order whatever
+    the batch shape: scalar block entries against the 2 grid_n^2 grid
+    directions, or a column of them against four moves per state. So a
+    state's value does not depend on the rest of the stack, to the bit.
 
     Parameters
     ----------
@@ -440,10 +478,12 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     if partition == "B":
         stack = EXCHANGE @ stack @ EXCHANGE
     n = len(stack)
-    # split[k, i, j, l, m] = <ij| rho_k |lm>; blocks[k, i, l] is the B-side block (i, l)
+    # split[k, i, j, l, m] = <ij| rho_k |lm>; blocks[i, l, j, m, k] is entry
+    # (j, m) of the B-side block (i, l) of state k, state axis last so that
+    # one index picks a state's scalar entries or a column of them
     split = stack.reshape(n, 2, 2, 2, 2)
-    blocks = split.transpose(0, 1, 3, 2, 4)
-    rho_b = blocks[:, 0, 0] + blocks[:, 1, 1]
+    blocks = split.transpose(1, 3, 2, 4, 0)
+    rho_b = blocks[0, 0] + blocks[1, 1]
 
     eig_total = np.clip(np.linalg.eigvalsh(stack), 0.0, 1.0)
     eig_meas = np.clip(np.linalg.eigvalsh(np.einsum("kijlj->kil", split)), 0.0, 1.0)
@@ -457,7 +497,7 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     bt = np.empty(n)
     bp = np.empty(n)
     for k in range(n):
-        vals = _avg_conditional_entropy(blocks[k], rho_b[k], terms)
+        vals = _avg_conditional_entropy(blocks[..., k], rho_b[..., k], terms)
         j = int(np.argmin(vals))
         best[k], bt[k], bp[k] = vals[j], tt[j], pp[j]
 
@@ -483,7 +523,7 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
         move_t = np.stack((t0 + ht, t0 - ht, t0, t0), axis=1)
         move_p = np.stack((p0, p0, p0 + hp, p0 - hp), axis=1)
         mvals = _avg_conditional_entropy(
-            blocks[act, None], rho_b[act, None], _projector_terms(move_t, move_p)
+            blocks[..., act, None], rho_b[..., act, None], _projector_terms(move_t, move_p)
         )
         rows = np.arange(act.size)
         j = np.argmin(mvals, axis=1)

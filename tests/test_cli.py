@@ -330,3 +330,24 @@ def test_deformed_spec_is_resolved_once_per_command(monkeypatch, capsys):
             assert main(argv) == 0, argv
         assert len(calls) == 1, argv
     capsys.readouterr()
+
+
+def test_parser_is_built_once_and_each_command_starts_from_the_defaults(monkeypatch, capsys):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    seen = []
+    parse = parser.parse_args
+
+    def recording(argv=None, namespace=None):
+        seen.append(parse(argv, namespace))
+        return seen[-1]
+
+    monkeypatch.setattr(parser, "parse_args", recording)
+    base = ["state-info", "--kind", "werner", "--p", "-0.5"]
+    assert main(base + ["--tol", "1e-3", "--oracle", "--grid", "16"]) == 0
+    assert main(base) == 0
+    capsys.readouterr()
+    first, second = seen
+    assert (first.tol, first.oracle, first.grid) == (1e-3, True, 16)
+    assert (second.tol, second.oracle, second.grid) == (None, False, 64)
+    assert vars(second) == vars(cli.build_parser.__wrapped__().parse_args(base))

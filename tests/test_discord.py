@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcorr import (
     DeformationSpec,
@@ -11,6 +13,7 @@ from qcorr import (
     NumericError,
     QuasiBellSpec,
     WMatrix,
+    concurrence_mixed,
     concurrence_pure,
     conditional_entropy_gwl_analytic,
     eof_from_concurrence,
@@ -19,6 +22,7 @@ from qcorr import (
     gwl,
     kronecker,
     lifted_projector,
+    local_unitary,
     luders_update,
     measurement_projector,
     mixing_after_measurement,
@@ -38,6 +42,7 @@ from qcorr import (
 from qcorr import discord as discord_module
 from qcorr.discord import BRANCH_EPS, REFINE_TARGET
 from qcorr.linalg import PAULI_X, PAULI_Y, PAULI_Z, is_hermitian, resolve_tolerance
+from qcorr.states import GWL_RANGE
 
 SQ2 = math.sqrt(2.0)
 
@@ -45,6 +50,11 @@ PSI_PLUS = WMatrix(np.eye(2) / SQ2)
 PSI3 = WMatrix(np.array([[3.0, math.sqrt(6.0)], [2.0 * math.sqrt(6.0), -1.0]]) / (2.0 * math.sqrt(10.0)))
 PSI2 = WMatrix(np.array([[-3.0, -3.0 * SQ2], [2.0 * SQ2, 1.0]]) / 6.0)
 PRODUCT = WMatrix([[1.0, 0.0], [0.0, 0.0]])
+
+
+def random_unitary(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def aligned_direction(psi):
@@ -190,6 +200,18 @@ def test_amplitude():
             bloch = [np.trace(reduced @ pauli).real for pauli in (PAULI_X, PAULI_Y, PAULI_Z)]
             expected = 0.5 * np.linalg.norm(bloch)
             assert abs(qd_gwl_analytic(psi, 0.5, partition=side).amplitude - expected) < 1e-12
+
+
+def test_breakdown_keeps_full_precision_near_a_bell_state():
+    # a locally rotated Bell state has C an ulp or so below 1, where
+    # sqrt(1 - C^2) is ~1e-8 off; x0, x1 and the amplitude must not be
+    rng = np.random.default_rng(71)
+    for _ in range(20):
+        psi = local_unitary(PSI_PLUS, random_unitary(rng), random_unitary(rng))
+        for side in ("A", "B"):
+            out = qd_gwl_analytic(psi, 0.7, partition=side)
+            assert abs(out.x0 - 0.7) < 1e-15 and abs(out.x1 - 0.7) < 1e-15
+            assert out.amplitude < 1e-15
 
 
 def test_conditional_entropy_against_explicit_measurement():
@@ -461,6 +483,41 @@ def test_qd_numeric_stack_equals_serial_deformed(partition):
         + 0.5 * kronecker(np.diag([0.0, 1.0]), np.outer(plus, plus))
     )
     _assert_stack_matches_serial(np.array(stack), partition=partition, grid_n=16)
+
+
+# The kernel's edges: on the z row of the grid one branch of |00> is
+# empty (trace at or below BRANCH_EPS); the Bell state's conditional
+# states are pure, so mu clips to 1; I/4 leaves every branch maximally
+# mixed; the rank-2 mixture is neither symmetric in A and B nor a GWL.
+EDGE_STATES = (
+    pure_density(PRODUCT),
+    pure_density(PSI_PLUS),
+    np.eye(4) / 4.0,
+    0.6 * pure_density(PSI3) + 0.4 * pure_density(PRODUCT),
+)
+
+
+@pytest.mark.parametrize("partition", ["A", "B"])
+@pytest.mark.parametrize("grid_n", [9, 33])
+def test_qd_numeric_stack_equals_serial_at_kernel_edges(grid_n, partition):
+    _assert_stack_matches_serial(np.array(EDGE_STATES), partition=partition, grid_n=grid_n)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.floats(*GWL_RANGE, allow_nan=False),
+    st.integers(0, 2**31 - 1),
+)
+def test_oracle_and_concurrence_are_local_unitary_invariant(seed, p, rotation_seed):
+    rho = gwl(random_pure_state(seed=seed), p)
+    rng = np.random.default_rng(rotation_seed)
+    u = kronecker(random_unitary(rng), random_unitary(rng))
+    rotated = u @ rho @ u.conj().T
+    for partition in ("A", "B"):
+        before, after = qd_numeric(np.array([rho, rotated]), partition=partition)
+        assert abs(before - after) < 1e-9
+    assert abs(concurrence_mixed(rho).value - concurrence_mixed(rotated).value) < 1e-9
 
 
 def test_qd_numeric_stack_of_one_equals_single_matrix():
