@@ -29,34 +29,34 @@ entropies and the Bloch-vector length d agree. ``qd_gwl_analytic``
 reads d itself from the measured side's reduced Bloch vector, which
 keeps x0, x1 and the amplitude precise where C rounds to just below 1.
 
-``qd_numeric`` is the independent check: a deterministic direction grid
-followed by compass refinement down to 1e-9 radians, no closed forms
-involved anywhere on that path. It takes one 4x4 matrix or a stack of
-K of them; a single matrix is a stack of one. Both phases share one
-kernel, which works on the entries of 2x2 blocks rather than on stacks
-of 2x2 matrices. With B_ik the B-side blocks of rho, rho_B their
-partial trace and pi_ki the entries of Pi_0, the unnormalized branch
-states are, entry by entry,
+``qd_numeric`` is the independent check: a brute-force search over
+measurement directions for any two-qubit state, with no closed form on
+that path. It works on the real correlation matrix
 
-    m0[r, s] = pi00 B00[r, s] + pi10 B01[r, s] + pi01 B10[r, s] + pi11 B11[r, s],
-    m1[r, s] = rho_B[r, s] - m0[r, s],
+    R_ij = tr(rho sigma_i (x) sigma_j),   i, j = 0..3, sigma_0 = I,
 
-and each branch's p_m S(conditional) follows from its trace and
-determinant. The grid phase runs state by state: the block entries are
-scalars and the projector terms are arrays over a direction grid that
-is computed once per grid size and cached. The refine phase runs the
-whole stack in lockstep: the block entries are columns over the states
-still refining and the terms hold their four compass moves, so one call
-evaluates a whole poll, while each state keeps its own best move,
-acceptance test and step halving.
+with a = R[1:, 0], b = R[0, 1:] and T = R[1:, 1:] the Bloch vectors of
+the two sides and their correlations (Luo, PRA 77, 042303 (2008); Ali,
+Rau and Alber, PRA 81, 042105 (2010)). Measuring side A along n leaves
+branch +- with weight p = (1 +- n.a)/2 and side B in the state of Bloch
+vector (b +- T^T n)/(1 +- n.a), whose entropy is H2((1 + r)/2) for its
+length r. Measuring side B is the same search on R transposed. The
+kernel never forms a 2x2 matrix: one state's entries of R against an
+array of directions, or columns of them against an array per state,
+give each direction's average conditional entropy by elementwise
+arithmetic alone, the same for every batch shape. Negating n swaps the
+two branches exactly, so n and -n give the same value bit for bit, and
+the grid covers only the half sphere phi in [0, pi).
 
-Every value is therefore the one a search on that state alone gives,
-bit for bit: each element of the kernel's output goes through the same
-IEEE operations in the same order, whatever the shape of the batch it
-is computed in, and the cached real terms pi00, pi11 are stored as the
-complex128 values numpy's float -> complex promotion gives them. The
-tests hold a one-state serial search as the reference and compare with
-``==``.
+The search is a grid_n x grid_n direction grid, computed once per grid
+size and cached, followed by compass refinement down to 1e-9 radians.
+It takes one 4x4 matrix or a stack of K of them; a single matrix is a
+stack of one. The grid phase runs state by state. The refine phase runs
+the whole stack in lockstep, one kernel call per poll for the four moves
+of every state still refining, while each state keeps its own best
+move, acceptance test and step halving. So every value is the one a
+search on that state alone gives, bit for bit. grid_n is capped at
+MAX_GRID_N, which bounds the grid at 10^6 directions.
 """
 
 from __future__ import annotations
@@ -77,17 +77,19 @@ from .linalg import (
     PAULI_Z,
     binary_entropy,
     check_range,
-    eigenvalue_entropy,
     float_or_array,
     kronecker,
     partial_trace,
     resolve_tolerance,
     xlog2x,
 )
-from .states import EXCHANGE, GWL_RANGE, WERNER_RANGE, reduced_from_wmatrix
+from .states import GWL_RANGE, WERNER_RANGE, reduced_from_wmatrix
 
 # Refinement stops once both angular steps drop below this (radians).
 REFINE_TARGET = 1e-9
+
+# Largest oracle grid_n: the half-sphere grid then holds 10^6 directions.
+MAX_GRID_N = 1000
 
 # Measurement branches with probability at or below this weight are
 # treated as empty and contribute zero to entropy averages.
@@ -341,71 +343,73 @@ def qd_gwl_analytic(psi, p, partition="A", tol=None):
     )
 
 
-def _projector_terms(theta, phi):
-    """Entries pi00, pi11, pi01, pi10 of Pi_0 for arrays of directions."""
+def _directions(theta, phi):
+    """Bloch vectors n, stacked as (nx, ny, nz), for arrays of (theta, phi)."""
     s = np.sin(2.0 * theta)
-    nx = s * np.cos(phi)
-    ny = s * np.sin(phi)
-    nz = np.cos(2.0 * theta)
-    return 0.5 * (1.0 + nz), 0.5 * (1.0 - nz), 0.5 * (nx - 1j * ny), 0.5 * (nx + 1j * ny)
-
-
-# the (row, column) order in which the oracle kernel lists 2x2 entries
-_ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
+    return np.stack((s * np.cos(phi), s * np.sin(phi), np.cos(2.0 * theta)))
 
 
 @functools.lru_cache(maxsize=2)
 def _direction_grid(grid_n):
-    # the flattened (theta, phi) grid, its projector terms and its two
-    # spacings; every state measured on the same grid_n shares them. The
-    # real terms pi00, pi11 are stored as complex128, which is the value
-    # numpy's own float -> complex promotion would give them in the
-    # kernel's products, so the cast moves no bit and is paid once
+    # the flattened (theta, phi) half-sphere grid, its Bloch vectors and
+    # its two spacings; every state measured on the same grid_n shares
+    # them. phi stops short of pi: (pi/2 - theta, phi + pi) is -n, which
+    # the kernel gives the same value as n
     thetas = np.linspace(0.0, math.pi / 2.0, grid_n)
-    phis = np.linspace(0.0, 2.0 * math.pi, 2 * grid_n, endpoint=False)
+    phis = np.linspace(0.0, math.pi, grid_n, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
     tt, pp = tt.ravel(), pp.ravel()
-    terms = tuple(x.astype(complex) for x in _projector_terms(tt, pp))
-    for a in (tt, pp) + terms:
+    n = _directions(tt, pp)
+    for a in (tt, pp, n):
         a.flags.writeable = False
-    return tt, pp, terms, float(thetas[1] - thetas[0]), float(phis[1] - phis[0])
+    return tt, pp, n, float(thetas[1] - thetas[0]), float(phis[1] - phis[0])
 
 
-def _avg_conditional_entropy(blocks, rho_b, terms):
-    """Average conditional entropy after measuring side A, entry by entry.
+def _avg_conditional_entropy(corr, n):
+    """Average conditional entropy of side B after measuring side A along n.
 
-    ``blocks[i, k, r, s]`` is entry (r, s) of the B-side block (i, k) of
-    rho and ``rho_b[r, s]`` the same entry of their partial trace; each
-    entry is a scalar or an array that broadcasts against the projector
-    entries ``terms`` of ``_projector_terms``. The conditional state of
-    branch m is sum_ik Pi_m[k, i] blocks[i, k] / p_m; branch 1 follows
-    from branch 0 by Pi_1 = I - Pi_0.
+    ``corr[i, j]`` is R_ij = tr(rho sigma_i (x) sigma_j) with sigma_0 = I
+    and ``n[0], n[1], n[2]`` are the Bloch components of the directions;
+    their trailing axes broadcast: one state's entries, each of shape (1,),
+    against the (N,) grid, or (A, 1) columns against (A, 4) compass moves.
+    With a = R[1:, 0], b = R[0, 1:] and T = R[1:, 1:], branch +- of the
+    measurement has weight (R_00 +- n.a)/2, where R_00 = tr rho = 1, and
+    the unnormalized B-side Bloch vector b +- T^T n. Negating n swaps the
+    two branches exactly, so n and -n give the same value, bit for bit.
     """
-    pi00, pi11, pi01, pi10 = terms
-    m0 = [
-        pi00 * blocks[0, 0, r, s]
-        + pi10 * blocks[0, 1, r, s]
-        + pi01 * blocks[1, 0, r, s]
-        + pi11 * blocks[1, 1, r, s]
-        for r, s in _ENTRIES
-    ]
-    m1 = [rho_b[rs] - m for rs, m in zip(_ENTRIES, m0)]
-    return _branch_entropy(*m0) + _branch_entropy(*m1)
+    # u = (n.a, T^T n) = sum_k n_k R[k, :], summed in the order k = 1, 2, 3;
+    # rows (R_00, b) +- u, with -1.0 * u exactly -u, give (2 x weight,
+    # Bloch vector) of the two branches
+    u = corr[1:] * n[:, None]
+    u = u[0] + u[1] + u[2]
+    ent = _branch_entropy(*(corr[0, :, None] + np.multiply.outer((1.0, -1.0), u).swapaxes(0, 1)))
+    return ent[0] + ent[1]
 
 
-def _branch_entropy(m00, m01, m10, m11):
-    # p_m * S(conditional) from the entries of unnormalized 2x2 branch
-    # states, each entry an array over directions
-    tr = np.real(m00 + m11)
-    det = np.real(m00 * m11 - m01 * m10)
-    disc = np.sqrt(np.clip(tr * tr - 4.0 * det, 0.0, None))
-    safe_tr = np.maximum(tr, BRANCH_EPS)
-    mu = np.clip(0.5 * (tr + disc) / safe_tr, 0.0, 1.0)
-    ent = np.zeros_like(mu)
-    inner = (mu > 0.0) & (mu < 1.0)
-    mu_in = mu[inner]
-    ent[inner] = -(mu_in * np.log2(mu_in) + (1.0 - mu_in) * np.log2(1.0 - mu_in))
-    return np.where(tr > BRANCH_EPS, tr * ent, 0.0)
+def _branch_entropy(s, x, y, z):
+    # weight times entropy of the branch state (s I + (x, y, z).sigma)/4:
+    # weight s/2, Bloch length r = |(x, y, z)|/s, eigenvalues (1 +- r)/2.
+    # A branch of weight at or below BRANCH_EPS contributes zero.
+    weight = 0.5 * s
+    r = np.minimum(np.sqrt(x * x + y * y + z * z) / np.maximum(s, BRANCH_EPS), 1.0)
+    hi = 0.5 + 0.5 * r
+    lo = 0.5 - 0.5 * r
+    log_lo = np.log2(lo, out=np.zeros_like(lo), where=lo > 0.0)
+    return np.where(weight > BRANCH_EPS, -weight * (hi * np.log2(hi) + lo * log_lo), 0.0)
+
+
+def _correlation_matrices(stack):
+    # R[i, j, k] = tr(rho_k sigma_i (x) sigma_j), state axis last: the
+    # Pauli coefficients of each B-side block, then of those over side A
+    def pauli(m):
+        # tr(m sigma_i), i = 0..3, for the 2x2 matrices on the first two axes
+        m00, m01, m10, m11 = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+        return np.stack((m00 + m11, m01 + m10, 1j * (m01 - m10), m00 - m11))
+
+    # split[a, b, c, d, k] = <ab| rho_k |cd>
+    split = stack.reshape(-1, 2, 2, 2, 2).transpose(1, 2, 3, 4, 0)
+    per_block = pauli(split.transpose(1, 3, 0, 2, 4))  # [j, a, c, k]
+    return np.real(pauli(per_block.transpose(1, 2, 0, 3)))
 
 
 def _check_densities(stack, t, single):
@@ -425,10 +429,12 @@ def _check_densities(stack, t, single):
 def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     """Brute-force quantum discord by measurement minimization.
 
-    A deterministic (theta, phi) grid of grid_n x 2 grid_n points over
-    [0, pi/2] x [0, 2 pi) seeds a compass search whose steps halve until
+    A deterministic (theta, phi) grid of grid_n x grid_n points over
+    [0, pi/2] x [0, pi) seeds a compass search whose steps halve until
     both fall below 1e-9 radians. Rank-1 projective measurements only;
-    no closed-form shortcuts anywhere on this path.
+    no closed-form shortcuts anywhere on this path. The half range of
+    phi covers every direction up to sign, and a direction and its
+    negative give the same value (see the module docstring).
 
     ``rho`` may be one 4x4 matrix or a stack of K of them. A stack is
     searched in lockstep: the grid phase runs state by state over one
@@ -436,11 +442,12 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     moves of every still-active state in one vectorized call. Each
     state's own best move, acceptance test and step halving are those of
     a search run on it alone. Both phases evaluate the conditional
-    entropies with one entry-wise kernel (see the module docstring) that
-    applies the same elementwise operations in the same order whatever
-    the batch shape: scalar block entries against the 2 grid_n^2 grid
-    directions, or a column of them against four moves per state. So a
-    state's value does not depend on the rest of the stack, to the bit.
+    entropies with one kernel on the state's real correlation matrix R,
+    which applies the same elementwise operations in the same order
+    whatever the batch shape: one state's entries of R against the
+    grid_n^2 grid directions, or a column of them against four moves per
+    state. So a state's value does not depend on the rest of the stack,
+    to the bit. Measuring side B uses R transposed.
 
     Parameters
     ----------
@@ -451,7 +458,7 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     partition : {"A", "B"}
         The measured side.
     grid_n : int
-        Polar grid count, at least 8.
+        Polar grid count, from 8 to ``MAX_GRID_N`` (1000).
     refine_iters : int
         Cap on refinement polls. Exceeding it raises NumericError for
         the lowest-index state still refining, with its index attached
@@ -463,8 +470,8 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     """
     t = resolve_tolerance(tol)
     grid_n = int(grid_n)
-    if grid_n < 8:
-        raise DomainError("grid_n must be at least 8, got %d" % grid_n)
+    if not 8 <= grid_n <= MAX_GRID_N:
+        raise DomainError("grid_n must be in [8, %d], got %d" % (MAX_GRID_N, grid_n))
     rho = np.asarray(rho, dtype=complex)
     single = rho.ndim == 2
     stack = rho[None] if single else rho
@@ -475,29 +482,25 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     if partition not in ("A", "B"):
         raise DomainError("partition must be 'A' or 'B', got %r" % (partition,))
     _check_densities(stack, t, single)
-    if partition == "B":
-        stack = EXCHANGE @ stack @ EXCHANGE
     n = len(stack)
-    # split[k, i, j, l, m] = <ij| rho_k |lm>; blocks[i, l, j, m, k] is entry
-    # (j, m) of the B-side block (i, l) of state k, state axis last so that
-    # one index picks a state's scalar entries or a column of them
-    split = stack.reshape(n, 2, 2, 2, 2)
-    blocks = split.transpose(1, 3, 2, 4, 0)
-    rho_b = blocks[0, 0] + blocks[1, 1]
+    # corr[i, j, k] is R_ij of state k with the measured side first; the
+    # state axis is last, so one index picks a state's entries or a column
+    corr = _correlation_matrices(stack)
+    if partition == "B":
+        corr = corr.swapaxes(0, 1)
 
-    eig_total = np.clip(np.linalg.eigvalsh(stack), 0.0, 1.0)
-    eig_meas = np.clip(np.linalg.eigvalsh(np.einsum("kijlj->kil", split)), 0.0, 1.0)
-    offset = [
-        eigenvalue_entropy(eig_meas[k]) - eigenvalue_entropy(eig_total[k])
-        for k in range(n)
-    ]
+    # S(rho_M) - S(rho); rho_M = (R_00 I + a.sigma)/2 is a "branch" of
+    # weight R_00 = 1 in the kernel's terms
+    eig = np.clip(np.linalg.eigvalsh(stack), 0.0, 1.0)
+    s_total = -np.sum(eig * np.log2(eig, out=np.zeros_like(eig), where=eig > 0.0), axis=1)
+    offset = _branch_entropy(*(2.0 * corr[:, 0])) - s_total
 
-    tt, pp, terms, h_t0, h_p0 = _direction_grid(grid_n)
+    tt, pp, grid, h_t0, h_p0 = _direction_grid(grid_n)
     best = np.empty(n)
     bt = np.empty(n)
     bp = np.empty(n)
     for k in range(n):
-        vals = _avg_conditional_entropy(blocks[..., k], rho_b[..., k], terms)
+        vals = _avg_conditional_entropy(corr[:, :, k, None], grid)
         j = int(np.argmin(vals))
         best[k], bt[k], bp[k] = vals[j], tt[j], pp[j]
 
@@ -510,7 +513,7 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
             break
         if polls >= refine_iters:
             k = int(act[0])
-            result = offset[k] + float(best[k])
+            result = float(offset[k] + best[k])
             err = NumericError(
                 "measurement minimization%s did not reach %g rad in %d polls; "
                 "best value %r"
@@ -522,9 +525,7 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
         t0, p0, ht, hp = bt[act], bp[act], h_t[act], h_p[act]
         move_t = np.stack((t0 + ht, t0 - ht, t0, t0), axis=1)
         move_p = np.stack((p0, p0, p0 + hp, p0 - hp), axis=1)
-        mvals = _avg_conditional_entropy(
-            blocks[..., act, None], rho_b[..., act, None], _projector_terms(move_t, move_p)
-        )
+        mvals = _avg_conditional_entropy(corr[:, :, act, None], _directions(move_t, move_p))
         rows = np.arange(act.size)
         j = np.argmin(mvals, axis=1)
         vj = mvals[rows, j]
@@ -536,5 +537,5 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
         h_p[act[~won]] *= 0.5
         polls += 1
 
-    values = [offset[k] + float(best[k]) for k in range(n)]
-    return values[0] if single else np.array(values)
+    values = offset + best
+    return float(values[0]) if single else values

@@ -230,18 +230,8 @@ def von_neumann_entropy(rho, tol=None):
     if float(np.min(spectrum.eigenvalues)) < -t:
         raise DomainError("density matrix is not positive semidefinite within tolerance")
     spectrum.check_density(t)
-    return eigenvalue_entropy(spectrum.eigenvalues)
-
-
-def eigenvalue_entropy(eigs):
-    """-sum lam log2 lam in bits over the positive eigenvalues.
-
-    A scalar math.log2 loop in the order the eigenvalues are given: the
-    oracle's values are pinned bit for bit to this summation, so it is
-    not vectorized.
-    """
     out = 0.0
-    for lam in eigs:
+    for lam in spectrum.eigenvalues:
         lam = float(lam)
         if lam > 0.0:
             out -= lam * math.log2(min(1.0, lam))

@@ -18,6 +18,7 @@ from qcorr import (
     werner,
 )
 from qcorr import cli
+from qcorr import discord as discord_module
 from qcorr.cli import CurveRow, UsageError, _bisect, _diagonal_wmatrix, csv_text, main, p_grid
 from qcorr.linalg import DEFAULT_TOLERANCE
 
@@ -42,6 +43,21 @@ def test_p_grid_caps_the_point_count(capsys):
     assert len(p_grid(0.0, 1.0, 1.0 / 999999.0)) == cli.MAX_GRID_POINTS
     assert main(["sweep", "--kind", "werner", "--p-step", "5e-7"]) == 1
     assert "grid points" in capsys.readouterr().err
+
+
+def test_oracle_grid_flag_is_capped(monkeypatch, capsys):
+    # an oversized --grid is refused before any direction grid is built
+    def no_grid(grid_n):
+        raise AssertionError("the direction grid was built for grid_n=%d" % grid_n)
+
+    monkeypatch.setattr(discord_module, "_direction_grid", no_grid)
+    for argv in (
+        ["state-info", "--kind", "werner", "--p", "-0.5", "--oracle", "--grid", "1000000"],
+        ["sweep", "--kind", "werner", "--p-step", "0.5", "--oracle", "--grid", "1001"],
+        ["verify", "--kind", "werner", "--p-step", "0.5", "--grid", "1001"],
+    ):
+        assert main(argv) == 1
+        assert "grid_n must be in [8, 1000]" in capsys.readouterr().err
 
 
 def test_csv_text():
