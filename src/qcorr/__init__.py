@@ -15,9 +15,7 @@ from .deformed import (
     coherent_coefficients,
     concurrence_quasi_bell,
     deformation_value,
-    deformed_factorial,
     displacement_validity,
-    energy_level,
     hard_nmax,
     overlap,
     quasi_bell_wmatrix,
@@ -55,12 +53,10 @@ from .linalg import (
     Spectrum,
     binary_entropy,
     general_eigenvalues_4x4,
-    get_tolerance,
     hermitian_eigenvalues,
     is_hermitian,
     kronecker,
     partial_trace,
-    set_tolerance,
     von_neumann_entropy,
 )
 from .states import (

@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 usage or domain error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import math
 import sys
@@ -40,7 +41,6 @@ from .linalg import (
     NumericError,
     hermitian_eigenvalues,
     partial_trace,
-    tolerance,
     von_neumann_entropy,
 )
 from .states import GWL_RANGE, WERNER_RANGE, WMatrix, gwl, werner
@@ -85,6 +85,7 @@ class SweepConfig:
     oracle: bool
     grid_n: int
     out: str | None
+    tol: float | None
 
 
 @dataclass
@@ -126,19 +127,20 @@ def compute_rows(cfg):
     on the stack of every row's density matrix.
     """
     ps = p_grid(cfg.p_start, cfg.p_stop, cfg.p_step)
+    tol = cfg.tol
     if cfg.kind == "werner":
-        conc, qd = concurrence_werner(ps), qd_werner(ps)
+        conc, qd = concurrence_werner(ps, tol), qd_werner(ps, tol)
     else:
         c_pure = concurrence_pure(cfg.psi)
-        conc, qd = concurrence_gwl_analytic(c_pure, ps), qd_gwl(c_pure, ps)
-    eof = eof_from_concurrence(conc)
+        conc, qd = concurrence_gwl_analytic(c_pure, ps, tol), qd_gwl(c_pure, ps, tol)
+    eof = eof_from_concurrence(conc, tol)
     rows = [
         CurveRow(p, e, q, None, None, k)
         for p, e, q, k in zip(ps, eof.tolist(), qd.tolist(), conc.tolist())
     ]
     if cfg.oracle:
-        rhos = [werner(p) if cfg.kind == "werner" else gwl(cfg.psi, p) for p in ps]
-        for row, qn in zip(rows, qd_numeric(rhos, grid_n=cfg.grid_n).tolist()):
+        rhos = [werner(p, tol) if cfg.kind == "werner" else gwl(cfg.psi, p, tol) for p in ps]
+        for row, qn in zip(rows, qd_numeric(rhos, grid_n=cfg.grid_n, tol=tol).tolist()):
             qd = row.qd_analytic
             row.qd_numeric = qn
             row.residual = abs(qd - qn) / max(abs(qd), RESIDUAL_FLOOR)
@@ -197,7 +199,7 @@ def _deformed_psi(spec, args, alpha=None, kind=None):
     return quasi_bell_wmatrix(qb)
 
 
-def build_state(args):
+def build_state(args, tol):
     """Resolve the state flags to (kind, psi or None, deformation spec or None)."""
     if args.kind == "werner":
         return "werner", None, None
@@ -206,8 +208,9 @@ def build_state(args):
         if sum(given) != 1:
             raise UsageError("gwl needs exactly one of --wmatrix or --concurrence")
         if args.wmatrix is not None:
+            # only a user's file meets --tol; states built here use the default
             with open(args.wmatrix, "r", encoding="utf-8") as fh:
-                return "gwl", WMatrix.from_text(fh.read()), None
+                return "gwl", WMatrix.from_text(fh.read(), tol), None
         return "gwl", _diagonal_wmatrix(args.concurrence), None
     if args.kind == "deformed":
         if args.alpha is None:
@@ -221,8 +224,8 @@ def _default_range(kind):
     return WERNER_RANGE if kind == "werner" else GWL_RANGE
 
 
-def _sweep_config(args):
-    kind, psi, _ = build_state(args)
+def _sweep_config(args, tol):
+    kind, psi, _ = build_state(args, tol)
     lo, hi = _default_range(kind)
     return SweepConfig(
         kind=kind,
@@ -233,13 +236,13 @@ def _sweep_config(args):
         oracle=args.oracle,
         grid_n=args.grid,
         out=getattr(args, "out", None),
+        tol=tol,
     )
 
 
 def cmd_sweep(args):
-    with tolerance(args.tol):
-        cfg = _sweep_config(args)
-        text = csv_text(compute_rows(cfg), cfg.oracle)
+    cfg = _sweep_config(args, args.tol)
+    text = csv_text(compute_rows(cfg), cfg.oracle)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -251,7 +254,7 @@ def cmd_sweep(args):
 def cmd_verify(args):
     threshold = DEFAULT_VERIFY_THRESHOLD if args.tol is None else args.tol
     args.oracle = True
-    cfg = _sweep_config(args)
+    cfg = _sweep_config(args, None)
     rows = compute_rows(cfg)
     worst = max(rows, key=lambda r: r.residual)
     print(
@@ -330,6 +333,10 @@ def cmd_crossover(args):
         )
         return 0
 
+    if not args.alpha_lo < args.alpha_hi:
+        raise UsageError(
+            "--alpha-lo %r must be below --alpha-hi %r" % (args.alpha_lo, args.alpha_hi)
+        )
     spec = _deformation_spec(args)
 
     def concurrence_at(alpha, kind=None):
@@ -361,35 +368,43 @@ def cmd_crossover(args):
 
 
 def cmd_state_info(args):
-    with tolerance(args.tol):
-        kind, psi, spec = build_state(args)
-        p = args.p
-        if p is None:
-            raise UsageError("state-info needs --p")
-        if kind == "werner":
-            rho = werner(p)
-            conc = concurrence_werner(p)
-            qd = qd_werner(p)
-        else:
-            rho = gwl(psi, p)
-            c_pure = concurrence_pure(psi)
-            conc = concurrence_gwl_analytic(c_pure, p)
-            qd = qd_gwl(c_pure, p)
-            print("pure-state concurrence: %s" % _fmt(c_pure))
-            if kind == "deformed":
-                print("overlap s: %s" % _fmt(overlap(spec, args.alpha, args.deformed_kind)))
-        eof = eof_from_concurrence(conc)
-        eigs = hermitian_eigenvalues(rho).eigenvalues
-        print("eigenvalues: %s" % ", ".join(_fmt(v) for v in eigs))
-        print("concurrence: %s" % _fmt(conc))
-        print("entropy_total: %s" % _fmt(von_neumann_entropy(rho)))
-        print("entropy_reduced_A: %s" % _fmt(von_neumann_entropy(partial_trace(rho, "B"))))
-        print("entropy_reduced_B: %s" % _fmt(von_neumann_entropy(partial_trace(rho, "A"))))
-        print("eof: %s" % _fmt(eof))
-        print("qd_analytic: %s" % _fmt(qd))
-        if args.oracle:
-            print("qd_numeric: %s" % _fmt(qd_numeric(rho, grid_n=args.grid)))
-        return 0
+    tol = args.tol
+    kind, psi, spec = build_state(args, tol)
+    p = args.p
+    if p is None:
+        raise UsageError("state-info needs --p")
+    if kind == "werner":
+        rho = werner(p, tol)
+        conc = concurrence_werner(p, tol)
+        qd = qd_werner(p, tol)
+    else:
+        rho = gwl(psi, p, tol)
+        c_pure = concurrence_pure(psi)
+        conc = concurrence_gwl_analytic(c_pure, p, tol)
+        qd = qd_gwl(c_pure, p, tol)
+        print("pure-state concurrence: %s" % _fmt(c_pure))
+        if kind == "deformed":
+            print("overlap s: %s" % _fmt(overlap(spec, args.alpha, args.deformed_kind)))
+    eof = eof_from_concurrence(conc, tol)
+    eigs = hermitian_eigenvalues(rho, tol).eigenvalues
+    print("eigenvalues: %s" % ", ".join(_fmt(v) for v in eigs))
+    print("concurrence: %s" % _fmt(conc))
+    print("entropy_total: %s" % _fmt(von_neumann_entropy(rho, tol)))
+    print("entropy_reduced_A: %s" % _fmt(von_neumann_entropy(partial_trace(rho, "B"), tol)))
+    print("entropy_reduced_B: %s" % _fmt(von_neumann_entropy(partial_trace(rho, "A"), tol)))
+    print("eof: %s" % _fmt(eof))
+    print("qd_analytic: %s" % _fmt(qd))
+    if args.oracle:
+        print("qd_numeric: %s" % _fmt(qd_numeric(rho, grid_n=args.grid, tol=tol)))
+    return 0
+
+
+def finite_positive(text):
+    """argparse type of --tol: a finite float above 0."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be finite and positive, got %r" % text)
+    return value
 
 
 def _add_state_flags(sp):
@@ -411,7 +426,7 @@ def _add_state_flags(sp):
     sp.add_argument("--sign", choices=("plus", "minus"), default="plus")
     sp.add_argument("--oracle", action="store_true", help="also run the numeric oracle")
     sp.add_argument("--grid", type=int, default=64, help="oracle polar grid count")
-    sp.add_argument("--tol", type=float, help="command-specific tolerance override")
+    sp.add_argument("--tol", type=finite_positive, help="tolerance, threshold or root width")
 
 
 def _add_range_flags(sp):
@@ -464,7 +479,19 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _keep_freed_heap():
+    # glibc may hand the oracle's freed numpy temporaries back to the kernel
+    # and fault them in again on the next command; whether it does depends on
+    # the heap layout, and it costs a command up to a third of its time
+    libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+    if hasattr(libc, "mallopt"):
+        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def main(argv=None):
+    _keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .discord import qd_gwl
-from .linalg import DomainError, resolve_tolerance
+from .linalg import DEFAULT_TOLERANCE, DomainError, resolve_tolerance
 from .states import WMatrix
 
 FAMILIES = ("harmonic", "poschl_teller", "exciton", "morse")
@@ -172,17 +172,6 @@ def deformation_value(spec, n):
     return _f_value(spec, n)
 
 
-def deformed_factorial(spec, n):
-    """f(n)! = f(0) f(1) ... f(n), with f(-1)! = 1."""
-    n = int(n)
-    if n < -1:
-        raise DomainError("deformed factorial index must be >= -1, got %d" % n)
-    out = 1.0
-    for m in range(0, n + 1):
-        out *= _f_value(spec, m)
-    return out
-
-
 @dataclass(frozen=True)
 class DeformedKet:
     """Normalized coefficients of a (deformed) coherent state.
@@ -199,18 +188,18 @@ class DeformedKet:
 
     def __post_init__(self):
         total = float(np.sum(np.abs(self.coefficients) ** 2))
-        if abs(total - 1.0) > resolve_tolerance(None):
+        if abs(total - 1.0) > DEFAULT_TOLERANCE:
             raise DomainError("ket coefficients have norm %.12g, expected 1" % total)
 
 
 def coherent_coefficients(spec, alpha, kind):
     """Normalized level amplitudes c_0..c_{n_max} for one state kind.
 
-    alpha must be a non-negative real; spec.n_max must be set.
+    alpha must be a finite, non-negative real; spec.n_max must be set.
     """
     alpha = float(alpha)
-    if alpha < 0.0:
-        raise DomainError("alpha must be non-negative, got %r" % alpha)
+    if not 0.0 <= alpha < math.inf:
+        raise DomainError("alpha must be finite and non-negative, got %r" % alpha)
     kind = _canonical_kind(kind)
     if spec.n_max is None:
         raise DomainError("spec.n_max must be set to build coefficients")
@@ -245,8 +234,8 @@ def displacement_validity(spec, alpha, n_max=None):
     window (this function is the tool that quantifies that abuse).
     """
     alpha = float(alpha)
-    if alpha < 0.0:
-        raise DomainError("alpha must be non-negative, got %r" % alpha)
+    if not 0.0 <= alpha < math.inf:
+        raise DomainError("alpha must be finite and non-negative, got %r" % alpha)
     if n_max is None:
         n_max = spec.n_max
     if n_max is None:
@@ -342,17 +331,3 @@ def select_nmax(spec, alpha, kind, tol=1e-10):
         stacklevel=2,
     )
     return cap
-
-
-def energy_level(spec, n):
-    """Deformed-oscillator energy E_n = [(n+1) f^2(n+1) + n f^2(n)] / 2.
-
-    Needs f at n + 1, so n + 1 must lie inside the validity window
-    (or the spec must carry override_bound). Harmonic gives n + 1/2.
-    """
-    n = int(n)
-    if n < 0:
-        raise DomainError("level index must be non-negative, got %d" % n)
-    f_here = _f_value(spec, n)
-    f_next = _f_value(spec, n + 1)
-    return 0.5 * ((n + 1) * f_next * f_next + n * f_here * f_here)

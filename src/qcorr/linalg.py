@@ -5,23 +5,20 @@ two-qubit basis is ordered |ij> = |i>_A (x) |j>_B with row-major index
 2i + j; every module in the package relies on that convention. All
 entropies are in bits (log base 2).
 
-A single module-wide tolerance (default 1e-10) governs hermiticity,
-trace and positivity checks; see set_tolerance / get_tolerance, and
-``tolerance`` to override it for one block of code only.
+Every hermiticity, trace, positivity and range check takes ``tol``;
+None means DEFAULT_TOLERANCE. The module keeps no state, so no call
+changes the tolerance of a later call.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_TOLERANCE = 1e-10
-
-_tolerance = DEFAULT_TOLERANCE
 
 
 class DomainError(ValueError):
@@ -32,46 +29,9 @@ class NumericError(ArithmeticError):
     """A numeric routine failed to converge or broke its own contract."""
 
 
-def set_tolerance(tol):
-    """Set the package-wide numeric tolerance.
-
-    Parameters
-    ----------
-    tol : float
-        New tolerance, must be positive.
-    """
-    global _tolerance
-    tol = float(tol)
-    if tol <= 0.0:
-        raise DomainError("tolerance must be positive, got %r" % tol)
-    _tolerance = tol
-
-
-def get_tolerance():
-    """Return the current package-wide numeric tolerance."""
-    return _tolerance
-
-
-@contextmanager
-def tolerance(tol):
-    """Use ``tol`` as the package-wide tolerance inside a ``with`` block.
-
-    The previous value is restored on exit, also when the block raises;
-    ``tol=None`` leaves the current value in force.
-    """
-    global _tolerance
-    saved = _tolerance
-    if tol is not None:
-        set_tolerance(tol)
-    try:
-        yield
-    finally:
-        _tolerance = saved
-
-
 def resolve_tolerance(tol=None):
-    """Return ``tol`` as a float, or the package-wide default if None."""
-    return _tolerance if tol is None else float(tol)
+    """Return ``tol`` as a float, or DEFAULT_TOLERANCE if None."""
+    return DEFAULT_TOLERANCE if tol is None else float(tol)
 
 
 def _const(rows):

@@ -79,10 +79,6 @@ class WMatrix:
         m = self._m
         return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
-    def transposed(self):
-        """WMatrix of the same state with the roles of A and B swapped."""
-        return WMatrix(self._m.T)
-
     @classmethod
     def from_ket(cls, ket, tol=None):
         ket = np.asarray(ket, dtype=complex)

@@ -1,4 +1,7 @@
 import math
+import shlex
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,6 @@ from qcorr import (
     concurrence_pure,
     eof_from_concurrence,
     eof_werner,
-    get_tolerance,
     overlap,
     qd_gwl_analytic,
     qd_werner,
@@ -20,7 +22,6 @@ from qcorr import (
 from qcorr import cli
 from qcorr import discord as discord_module
 from qcorr.cli import CurveRow, UsageError, _bisect, _diagonal_wmatrix, csv_text, main, p_grid
-from qcorr.linalg import DEFAULT_TOLERANCE
 
 
 def test_p_grid():
@@ -279,13 +280,10 @@ def test_tol_flag_does_not_outlive_its_command(capsys):
     argv = ["sweep", "--kind", "werner", "--p-start", "-1.0005", "--p-stop", "-0.9", "--p-step", "0.05"]
     assert main(argv) == 1
     assert main(argv + ["--tol", "1e-3"]) == 0
-    assert get_tolerance() == DEFAULT_TOLERANCE
     with pytest.warns(UserWarning, match="clamping"):
         assert main(["state-info", "--kind", "werner", "--p", "-1.0005", "--tol", "1e-3"]) == 0
-    assert get_tolerance() == DEFAULT_TOLERANCE
-    # a command that fails restores the tolerance too
+    # a command that fails leaves nothing behind either
     assert main(["state-info", "--kind", "werner", "--p", "0.5", "--tol", "1e-3"]) == 1
-    assert get_tolerance() == DEFAULT_TOLERANCE
     capsys.readouterr()
     with pytest.raises(DomainError):
         werner(1.0 / 3.0 + 5e-4)
@@ -367,3 +365,111 @@ def test_parser_is_built_once_and_each_command_starts_from_the_defaults(monkeypa
     assert (first.tol, first.oracle, first.grid) == (1e-3, True, 16)
     assert (second.tol, second.oracle, second.grid) == (None, False, 64)
     assert vars(second) == vars(cli.build_parser.__wrapped__().parse_args(base))
+
+
+def test_tol_must_be_finite_and_positive(capsys):
+    # parsing rejects the value before any command runs, in all four commands
+    for command in ("sweep", "verify", "crossover", "state-info"):
+        for bad in ("nan", "inf", "0", "-1"):
+            assert main([command, "--kind", "werner", "--tol", bad]) == 1, (command, bad)
+            err = capsys.readouterr().err
+            assert "usage error" in err and "--tol" in err, (command, bad)
+
+
+def test_crossover_rejects_an_empty_alpha_bracket(monkeypatch, capsys):
+    def no_state(*args, **kwargs):
+        raise AssertionError("a state was built for an empty bracket")
+
+    monkeypatch.setattr(cli, "quasi_bell_wmatrix", no_state)
+    pt = ["crossover", "--pair", "coherent-vs-a", "--family", "poschl-teller", "--N", "10", "--nmax", "9"]
+    for lo, hi in (("2", "1.2"), ("1.2", "1.2"), ("nan", "1.6"), ("1.0", "nan")):
+        assert main(pt + ["--alpha-lo", lo, "--alpha-hi", hi]) == 1, (lo, hi)
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--alpha-lo" in err, (lo, hi)
+
+
+def test_non_finite_alpha_exits_1(capsys):
+    argv = ["state-info", "--kind", "deformed", "--family", "harmonic", "--nmax", "9", "--p", "0.5"]
+    for alpha in ("nan", "inf"):
+        assert main(argv + ["--alpha", alpha]) == 1, alpha
+        err = capsys.readouterr().err
+        assert "domain error" in err and "alpha must be finite" in err, alpha
+
+
+def test_no_command_leaves_state_for_a_later_one(capsys):
+    fixed = ["state-info", "--kind", "gwl", "--concurrence", "0.5", "--p", "0.7", "--oracle", "--grid", "16"]
+    assert main(fixed) == 0
+    before = capsys.readouterr().out
+    near_edge = ["--kind", "werner", "--p-start", "-1.0005", "--p-stop", "-0.9", "--p-step", "0.05"]
+    battery = [
+        (["sweep", "--tol", "1e-3"] + near_edge, 0),
+        (["sweep", "--kind", "gwl", "--concurrence", "0.5", "--p-step", "0.25", "--oracle", "--grid", "16", "--tol", "1e-3"], 0),
+        (["state-info", "--kind", "werner", "--p", "-1.0005", "--tol", "1e-3"], 0),
+        (["state-info", "--kind", "werner", "--p", "0.5", "--tol", "1e-3"], 1),
+        (["verify", "--kind", "werner", "--p-start", "-0.9", "--p-stop", "-0.5", "--p-step", "0.1", "--grid", "32", "--tol", "1e-16"], 2),
+        (["state-info", "--kind", "werner", "--p", "-0.5", "--oracle", "--grid", "16"], 0),
+        (["sweep", "--kind", "deformed", "--family", "poschl-teller", "--N", "10", "--alpha", "0.8", "--p-step", "0.25"], 0),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # eigenvalue clamp, select_nmax cap
+        for argv, code in battery:
+            assert main(argv) == code, argv
+    capsys.readouterr()
+    assert main(fixed) == 0
+    assert capsys.readouterr().out == before
+    # the looser --tol of the battery is gone
+    assert main(["sweep"] + near_edge) == 1
+    assert "domain error" in capsys.readouterr().err
+    with pytest.raises(DomainError):
+        werner(1.0 / 3.0 + 5e-4)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        ["--kind", "deformed", "--family", "poschl-teller", "--N", "10", "--alpha", "0.8"],
+        ["--kind", "gwl", "--concurrence", "0.02"],
+    ],
+    ids=["deformed", "concurrence"],
+)
+@pytest.mark.filterwarnings("ignore:discord still moving")
+def test_tiny_tol_does_not_reach_states_the_program_builds(state, capsys):
+    # the program normalizes these states itself, so they are checked at
+    # the library default whatever --tol says
+    argv = ["sweep"] + state + ["--p-step", "0.05"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--tol", "1e-17"]) == 0
+    assert capsys.readouterr().out == plain
+
+
+def _readme_blocks():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks, fence, body = [], None, []
+    for line in text.splitlines():
+        if line.startswith("```"):
+            if fence is None:
+                fence, body = line[3:].strip(), []
+            else:
+                blocks.append((fence, "\n".join(body)))
+                fence = None
+        elif fence is not None:
+            body.append(line)
+    return blocks
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    blocks = _readme_blocks()
+    commands = []
+    for _, body in blocks:
+        for command in body.replace("\\\n", " ").splitlines():
+            if command.startswith("qcorr "):
+                commands.append(shlex.split(command)[1:])
+    assert len(commands) >= 8
+    for argv in commands:
+        assert main(argv) == 0, argv
+    snippets = [body for fence, body in blocks if fence == "python"]
+    assert len(snippets) == 1
+    exec(compile(snippets[0], "README.md", "exec"), {})
+    capsys.readouterr()

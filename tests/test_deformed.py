@@ -13,9 +13,7 @@ from qcorr import (
     concurrence_pure,
     concurrence_quasi_bell,
     deformation_value,
-    deformed_factorial,
     displacement_validity,
-    energy_level,
     hard_nmax,
     overlap,
     qd_gwl_analytic,
@@ -91,16 +89,6 @@ def test_deformation_values():
         deformation_value(wide, 37)
 
 
-def test_deformed_factorial():
-    assert deformed_factorial(PT10, -1) == 1.0
-    assert abs(deformed_factorial(MORSE18, 2) - 0.9996141230803656) < 1e-14
-    for n in range(0, 9):
-        product = deformed_factorial(PT10, n - 1) * deformation_value(PT10, n)
-        assert abs(deformed_factorial(PT10, n) - product) < 1e-15
-    with pytest.raises(DomainError):
-        deformed_factorial(PT10, -2)
-
-
 def test_coherent_coefficients_harmonic_poisson():
     spec = DeformationSpec("harmonic", n_max=40)
     ket = coherent_coefficients(spec, 1.0, "coherent")
@@ -120,7 +108,7 @@ def test_coherent_coefficients_kind_relation():
     ket_d = coherent_coefficients(spec, alpha, "D").coefficients
     f0 = deformation_value(spec, 0)
     for n in range(10):
-        fact = deformed_factorial(spec, n) / f0
+        fact = math.prod(deformation_value(spec, m) for m in range(n + 1)) / f0
         assert abs(ket_a[n] / ket_a[0] * fact - base[n] / base[0]) < 1e-12
         assert abs(ket_d[n] / ket_d[0] / fact - base[n] / base[0]) < 1e-12
 
@@ -151,6 +139,15 @@ def test_truncation_tail():
     # at the formula edge the next level is unevaluable: tail is nan
     edge = DeformationSpec("morse", N=18, n_max=36, override_bound=True)
     assert math.isnan(coherent_coefficients(edge, 0.65, "D").truncation_tail)
+
+
+def test_non_finite_alpha_is_a_domain_error():
+    spec = DeformationSpec("poschl_teller", N=10, n_max=9)
+    for alpha in (float("nan"), float("inf"), -0.5):
+        with pytest.raises(DomainError, match="alpha must be finite and non-negative"):
+            coherent_coefficients(spec, alpha, "A")
+        with pytest.raises(DomainError, match="alpha must be finite and non-negative"):
+            displacement_validity(spec, alpha)
 
 
 def test_displacement_validity():
@@ -233,15 +230,3 @@ def test_select_nmax():
         assert select_nmax(DeformationSpec("harmonic", n_max=3), 0.65, "A") == 9
     with pytest.raises(DomainError):
         select_nmax(DeformationSpec("exciton", kappa=0.8), 0.65, "A")  # cap < 1
-
-
-def test_energy_level():
-    for n in range(6):
-        assert abs(energy_level(HARMONIC, n) - (n + 0.5)) < 1e-15
-    assert abs(energy_level(PT10, 0) - (math.sqrt(101.0) - 1.0) / 20.0) < 1e-15
-    with pytest.raises(DomainError):
-        energy_level(MORSE18, 6)  # needs f(7), outside the stated window
-    wide = DeformationSpec("morse", N=18, override_bound=True)
-    assert energy_level(wide, 6) > 0.0
-    with pytest.raises(DomainError):
-        energy_level(PT10, -1)

@@ -1,5 +1,7 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,15 +11,14 @@ from qcorr import (
     NumericError,
     binary_entropy,
     general_eigenvalues_4x4,
-    get_tolerance,
     hermitian_eigenvalues,
     is_hermitian,
     kronecker,
     partial_trace,
-    set_tolerance,
     von_neumann_entropy,
 )
-from qcorr.linalg import DEFAULT_TOLERANCE, IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, tolerance
+import qcorr
+from qcorr.linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
 
 
 def random_hermitian(rng, n):
@@ -29,31 +30,6 @@ def random_density(rng, n):
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho = m @ m.conj().T
     return rho / np.trace(rho).real
-
-
-def test_tolerance_plumbing():
-    assert get_tolerance() == DEFAULT_TOLERANCE
-    try:
-        set_tolerance(1e-6)
-        assert get_tolerance() == 1e-6
-    finally:
-        set_tolerance(DEFAULT_TOLERANCE)
-    with pytest.raises(DomainError):
-        set_tolerance(0.0)
-    with pytest.raises(DomainError):
-        set_tolerance(-1e-3)
-
-
-def test_tolerance_context_restores_on_exit():
-    with tolerance(1e-6):
-        assert get_tolerance() == 1e-6
-    assert get_tolerance() == DEFAULT_TOLERANCE
-    with pytest.raises(DomainError):
-        with tolerance(1e-3):
-            binary_entropy(2.0)
-    assert get_tolerance() == DEFAULT_TOLERANCE
-    with tolerance(None):
-        assert get_tolerance() == DEFAULT_TOLERANCE
 
 
 def test_pauli_constants():
@@ -219,3 +195,12 @@ def test_kronecker_identity_and_projector():
             for k in range(2):
                 for l in range(2):
                     assert full[2 * i + j, 2 * k + l] == a[i, k] * b[j, l]
+
+
+def test_no_module_rebinds_a_global():
+    # a `global` statement is how a module grows state that one call can
+    # leave behind for the next; every tolerance is passed as `tol=`
+    for path in sorted(Path(qcorr.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)]
+        assert not lines, "%s: global statement on line(s) %s" % (path.name, lines)

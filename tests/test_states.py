@@ -81,8 +81,6 @@ def test_wmatrix_ket_layout():
 def test_wmatrix_determinant_and_transpose():
     assert abs(PHI_MINUS.determinant() - 0.5) < 1e-15
     assert abs(PSI2.determinant() - 0.25) < 1e-15
-    t = PSI3.transposed()
-    assert np.array_equal(t.matrix, PSI3.matrix.T)
 
 
 def test_wmatrix_text_round_trip():
