@@ -20,7 +20,6 @@ Exit codes: 0 success, 1 usage or domain error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
-import ctypes
 import functools
 import math
 import sys
@@ -479,19 +478,7 @@ def build_parser():
     return parser
 
 
-@functools.lru_cache(maxsize=None)
-def _keep_freed_heap():
-    # glibc may hand the oracle's freed numpy temporaries back to the kernel
-    # and fault them in again on the next command; whether it does depends on
-    # the heap layout, and it costs a command up to a third of its time
-    libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
-    if hasattr(libc, "mallopt"):
-        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-
-
 def main(argv=None):
-    _keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -382,6 +382,10 @@ def _avg_conditional_entropy(corr, n):
     # Bloch vector) of the two branches
     u = corr[1:] * n[:, None]
     u = u[0] + u[1] + u[2]
+    if u.ndim == 2:
+        # a state against the grid: the same operations, one branch at a time,
+        # so glibc reuses the smaller temporaries instead of refaulting them
+        return _branch_entropy(*(corr[0] + u)) + _branch_entropy(*(corr[0] - u))
     ent = _branch_entropy(*(corr[0, :, None] + np.multiply.outer((1.0, -1.0), u).swapaxes(0, 1)))
     return ent[0] + ent[1]
 

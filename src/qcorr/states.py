@@ -114,7 +114,7 @@ class WMatrix:
                 "renormalizing W-matrix with norm off by %.3g" % abs(norm - 1.0),
                 stacklevel=2,
             )
-            m = m / np.sqrt(norm)
+            return cls(m / np.sqrt(norm))  # the program's own: default tolerance
         return cls(m, tol=tol)
 
     def to_text(self):

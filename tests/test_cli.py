@@ -443,6 +443,22 @@ def test_tiny_tol_does_not_reach_states_the_program_builds(state, capsys):
     assert capsys.readouterr().out == plain
 
 
+def test_tiny_tol_checks_a_wmatrix_file_but_not_its_repair(tmp_path, capsys):
+    # the file's norm is off by 1.3e-12: within the default, beyond 1e-17.
+    # --tol decides that the file is repaired; the repaired matrix, whose
+    # norm is off by 2e-16, is the program's own and passes at the default
+    path = tmp_path / "w.txt"
+    path.write_text("0.6 0 0 0.8000000000008j\n", encoding="utf-8")
+    argv = ["sweep", "--kind", "gwl", "--wmatrix", str(path), "--p-step", "0.05"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    with pytest.warns(UserWarning, match="renormalizing"):
+        assert main(argv + ["--tol", "1e-17"]) == 0
+    repaired = capsys.readouterr().out
+    assert repaired.splitlines()[0] == plain.splitlines()[0]
+    assert len(repaired.splitlines()) == len(plain.splitlines())
+
+
 def _readme_blocks():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     blocks, fence, body = [], None, []
