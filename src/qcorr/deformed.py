@@ -178,7 +178,7 @@ class DeformedKet:
 
     ``truncation_tail`` estimates the weight of the first level beyond
     n_max relative to the kept mass (nan when that level cannot be
-    evaluated); it is a diagnostic only.
+    evaluated or its weight overflows); it is a diagnostic only.
     """
 
     coefficients: np.ndarray
@@ -206,15 +206,24 @@ def coherent_coefficients(spec, alpha, kind):
     exp = {"A": -1, "D": 1, "coherent": 0}[kind]
     weights = np.empty(spec.n_max + 1)
     weights[0] = 1.0
-    for n in range(1, spec.n_max + 1):
-        weights[n] = weights[n - 1] * alpha / math.sqrt(n) * _f_value(spec, n) ** exp
-    mass = float(np.sum(weights**2))
-    try:
-        nxt = weights[spec.n_max] * alpha / math.sqrt(spec.n_max + 1)
-        nxt *= _f_value(spec, spec.n_max + 1, beyond=True) ** exp
-        tail = nxt * nxt / (mass + nxt * nxt)
-    except DomainError:
-        tail = float("nan")
+    # a large alpha overflows the weights or their squares to inf, which is
+    # reported as a domain error, not as numpy's overflow warnings; a next
+    # level whose square overflows leaves the tail nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, spec.n_max + 1):
+            weights[n] = weights[n - 1] * alpha / math.sqrt(n) * _f_value(spec, n) ** exp
+        mass = float(np.sum(weights**2))
+        if not 0.0 < mass < math.inf:
+            raise DomainError(
+                "alpha = %r overflows the level weights of the %s ket on levels 0..%d"
+                % (alpha, kind, spec.n_max)
+            )
+        try:
+            nxt = weights[spec.n_max] * alpha / math.sqrt(spec.n_max + 1)
+            nxt *= _f_value(spec, spec.n_max + 1, beyond=True) ** exp
+            tail = nxt * nxt / (mass + nxt * nxt)
+        except DomainError:
+            tail = float("nan")
     return DeformedKet(
         coefficients=weights / math.sqrt(mass),
         alpha=alpha,

@@ -51,12 +51,31 @@ the grid covers only the half sphere phi in [0, pi).
 The search is a grid_n x grid_n direction grid, computed once per grid
 size and cached, followed by compass refinement down to 1e-9 radians.
 It takes one 4x4 matrix or a stack of K of them; a single matrix is a
-stack of one. The grid phase runs state by state. The refine phase runs
-the whole stack in lockstep, one kernel call per poll for the four moves
-of every state still refining, while each state keeps its own best
-move, acceptance test and step halving. So every value is the one a
-search on that state alone gives, bit for bit. grid_n is capped at
+stack of one. The grid phase runs state by state, in chunks of at most
+2^16 directions, keeping the first minimum. grid_n is capped at
 MAX_GRID_N, which bounds the grid at 10^6 directions.
+
+The refine is a compass search: each poll tries the four moves
+(theta +- h_t, phi) and (theta, phi +- h_p), takes the best if it beats
+the current value, and otherwise halves both steps. A losing poll does
+not move the centre, so the next polls of a state, for as long as they
+lose, are the four moves at the halved steps h/2, h/4, ... about that
+same centre. Each kernel call therefore evaluates a block of them, the
+current steps and the next halvings, for every state of the stack still
+refining, and then replays the one-poll rule on the block: a state
+halves through each losing level and stops at the first winning one.
+Levels after a state has converged, or beyond its poll cap, are not
+used. Each state keeps its own best move, acceptance test, steps and
+poll count, so the search makes the same polls on the same directions
+as a search on that state alone, one poll at a time. The values are
+unchanged to the bit: the kernel is elementwise, and h times 0.5**f is
+exactly h halved f times.
+
+A block is up to 16 levels deep, and shallower while many states are
+still refining, which keeps a call near 1024 directions. Up to about
+that size a call's cost is mostly fixed overhead, beyond it mostly
+arithmetic, and a winning level leaves the deeper ones of its block
+unused.
 """
 
 from __future__ import annotations
@@ -90,6 +109,27 @@ REFINE_TARGET = 1e-9
 
 # Largest oracle grid_n: the half-sphere grid then holds 10^6 directions.
 MAX_GRID_N = 1000
+
+# Grid directions per kernel call. At large grid_n this bounds the grid
+# phase's temporaries; the default 64 x 64 grid stays one call.
+_GRID_CHUNK = 1 << 16
+
+# Compass polls per refine kernel call, at most: the four moves at the
+# current steps and at the next halvings, about one centre.
+_REFINE_LEVELS = 16
+
+# Refine directions per kernel call, across the states still refining. A
+# call's fixed cost is about that of 1000 directions of arithmetic, so a
+# few states poll _REFINE_LEVELS levels per call and a large stack fewer.
+_REFINE_BUDGET = 1024
+
+# 0.5**f for f = 0.._REFINE_LEVELS: exact powers of two, so h * _HALVINGS[f]
+# is h halved f times, bit for bit
+_HALVINGS = 0.5 ** np.arange(_REFINE_LEVELS + 1)
+
+# the four compass moves as multiples of (h_t, h_p)
+_THETA_SIGNS = np.array([1.0, -1.0, 0.0, 0.0])
+_PHI_SIGNS = np.array([0.0, 0.0, 1.0, -1.0])
 
 # Measurement branches with probability at or below this weight are
 # treated as empty and contribute zero to entropy averages.
@@ -371,11 +411,12 @@ def _avg_conditional_entropy(corr, n):
     ``corr[i, j]`` is R_ij = tr(rho sigma_i (x) sigma_j) with sigma_0 = I
     and ``n[0], n[1], n[2]`` are the Bloch components of the directions;
     their trailing axes broadcast: one state's entries, each of shape (1,),
-    against the (N,) grid, or (A, 1) columns against (A, 4) compass moves.
-    With a = R[1:, 0], b = R[0, 1:] and T = R[1:, 1:], branch +- of the
-    measurement has weight (R_00 +- n.a)/2, where R_00 = tr rho = 1, and
-    the unnormalized B-side Bloch vector b +- T^T n. Negating n swaps the
-    two branches exactly, so n and -n give the same value, bit for bit.
+    against an (N,) chunk of the grid, or (A, 1) columns against (A, M)
+    compass moves. With a = R[1:, 0], b = R[0, 1:] and T = R[1:, 1:],
+    branch +- of the measurement has weight (R_00 +- n.a)/2, where
+    R_00 = tr rho = 1, and the unnormalized B-side Bloch vector
+    b +- T^T n. Negating n swaps the two branches exactly, so n and -n
+    give the same value, bit for bit.
     """
     # u = (n.a, T^T n) = sum_k n_k R[k, :], summed in the order k = 1, 2, 3;
     # rows (R_00, b) +- u, with -1.0 * u exactly -u, give (2 x weight,
@@ -440,18 +481,20 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     phi covers every direction up to sign, and a direction and its
     negative give the same value (see the module docstring).
 
-    ``rho`` may be one 4x4 matrix or a stack of K of them. A stack is
-    searched in lockstep: the grid phase runs state by state over one
-    shared direction grid, then each compass poll evaluates the four
-    moves of every still-active state in one vectorized call. Each
-    state's own best move, acceptance test and step halving are those of
-    a search run on it alone. Both phases evaluate the conditional
-    entropies with one kernel on the state's real correlation matrix R,
-    which applies the same elementwise operations in the same order
-    whatever the batch shape: one state's entries of R against the
-    grid_n^2 grid directions, or a column of them against four moves per
-    state. So a state's value does not depend on the rest of the stack,
-    to the bit. Measuring side B uses R transposed.
+    ``rho`` may be one 4x4 matrix or a stack of K of them. The grid
+    phase runs state by state over one shared direction grid. Then each
+    refine kernel call evaluates, for every state still refining, the
+    four compass moves at its current steps and at the next halvings
+    about the same centre, and replays the one-poll rule on them (see
+    the module docstring). Each state's best move, acceptance test, step
+    halving and poll count are those of a search run on it alone. Both
+    phases evaluate the conditional entropies with one kernel on the
+    state's real correlation matrix R, which applies the same elementwise
+    operations in the same order whatever the batch shape: one state's
+    entries of R against a chunk of grid directions, or a column of them
+    against a block of moves per state. So a state's value does not
+    depend on the rest of the stack, to the bit. Measuring side B uses R
+    transposed.
 
     Parameters
     ----------
@@ -464,9 +507,10 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     grid_n : int
         Polar grid count, from 8 to ``MAX_GRID_N`` (1000).
     refine_iters : int
-        Cap on refinement polls. Exceeding it raises NumericError for
-        the lowest-index state still refining, with its index attached
-        as ``index`` and the best value found as ``best_value``.
+        Cap on each state's refinement polls. If a state has not
+        converged after that many, NumericError is raised for the
+        lowest-index such state, with its index attached as ``index``
+        and the best value found as ``best_value``.
 
     Returns
     -------
@@ -504,42 +548,68 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     bt = np.empty(n)
     bp = np.empty(n)
     for k in range(n):
-        vals = _avg_conditional_entropy(corr[:, :, k, None], grid)
-        j = int(np.argmin(vals))
-        best[k], bt[k], bp[k] = vals[j], tt[j], pp[j]
+        # the first minimum over the whole grid, chunk by chunk
+        for s in range(0, tt.size, _GRID_CHUNK):
+            vals = _avg_conditional_entropy(corr[:, :, k, None], grid[:, s : s + _GRID_CHUNK])
+            j = int(np.argmin(vals))
+            if s == 0 or vals[j] < best[k]:
+                best[k], bt[k], bp[k] = vals[j], tt[s + j], pp[s + j]
 
     h_t = np.full(n, h_t0)
     h_p = np.full(n, h_p0)
-    polls = 0
+    polls = np.zeros(n, dtype=np.int64)
     while True:
-        act = np.flatnonzero((h_t >= REFINE_TARGET) | (h_p >= REFINE_TARGET))
+        act = np.flatnonzero(
+            ((h_t >= REFINE_TARGET) | (h_p >= REFINE_TARGET)) & (polls < refine_iters)
+        )
         if act.size == 0:
             break
-        if polls >= refine_iters:
-            k = int(act[0])
-            result = float(offset[k] + best[k])
-            err = NumericError(
-                "measurement minimization%s did not reach %g rad in %d polls; "
-                "best value %r"
-                % ("" if single else " of state %d" % k, REFINE_TARGET, refine_iters, result)
-            )
-            err.index = k
-            err.best_value = result
-            raise err
-        t0, p0, ht, hp = bt[act], bp[act], h_t[act], h_p[act]
-        move_t = np.stack((t0 + ht, t0 - ht, t0, t0), axis=1)
-        move_p = np.stack((p0, p0, p0 + hp, p0 - hp), axis=1)
-        mvals = _avg_conditional_entropy(corr[:, :, act, None], _directions(move_t, move_p))
-        rows = np.arange(act.size)
-        j = np.argmin(mvals, axis=1)
-        vj = mvals[rows, j]
-        won = vj < best[act]
-        best[act[won]] = vj[won]
-        bt[act[won]] = move_t[rows, j][won]
-        bp[act[won]] = move_p[rows, j][won]
-        h_t[act[~won]] *= 0.5
-        h_p[act[~won]] *= 0.5
-        polls += 1
+        # a losing poll only halves the steps, so while they lose, a state's
+        # next polls all centre on its current best: level f of the block
+        # holds the four moves of its poll polls + f
+        depth = min(_REFINE_LEVELS, max(1, _REFINE_BUDGET // (4 * act.size)))
+        ht = h_t[act, None] * _HALVINGS[:depth]
+        hp = h_p[act, None] * _HALVINGS[:depth]
+        # the moves (t0 + ht, t0 - ht, t0, t0) and (p0, p0, p0 + hp, p0 - hp),
+        # bit for bit: adding -h is subtracting h, and adding 0.0 changes no
+        # angle but -0.0, which the search never makes (x - x is +0.0)
+        move_t = bt[act, None, None] + ht[:, :, None] * _THETA_SIGNS
+        move_p = bp[act, None, None] + hp[:, :, None] * _PHI_SIGNS
+        shape = (act.size, 4 * depth)
+        mvals = _avg_conditional_entropy(
+            corr[:, :, act, None], _directions(move_t.reshape(shape), move_p.reshape(shape))
+        ).reshape(move_t.shape)
+        # replay the one-poll rule: levels past convergence or past the cap
+        # are never polled, and the first winning level ends the block
+        live = ((ht >= REFINE_TARGET) | (hp >= REFINE_TARGET)) & (
+            polls[act, None] + np.arange(depth) < refine_iters
+        )
+        vj = mvals.min(axis=2)
+        won = live & (vj < best[act, None])
+        hit = won.any(axis=1)
+        halved = np.where(hit, np.argmax(won, axis=1), live.sum(axis=1))
+        rows = np.flatnonzero(hit)
+        f = halved[rows]
+        jf = np.argmin(mvals[rows, f], axis=1)
+        best[act[rows]] = vj[rows, f]
+        bt[act[rows]] = move_t[rows, f, jf]
+        bp[act[rows]] = move_p[rows, f, jf]
+        h_t[act] *= _HALVINGS[halved]
+        h_p[act] *= _HALVINGS[halved]
+        polls[act] += halved + hit
+
+    unconverged = np.flatnonzero((h_t >= REFINE_TARGET) | (h_p >= REFINE_TARGET))
+    if unconverged.size:
+        k = int(unconverged[0])
+        result = float(offset[k] + best[k])
+        err = NumericError(
+            "measurement minimization%s did not reach %g rad in %d polls; "
+            "best value %r"
+            % ("" if single else " of state %d" % k, REFINE_TARGET, refine_iters, result)
+        )
+        err.index = k
+        err.best_value = result
+        raise err
 
     values = offset + best
     return float(values[0]) if single else values

@@ -396,6 +396,17 @@ def test_non_finite_alpha_exits_1(capsys):
         assert "domain error" in err and "alpha must be finite" in err, alpha
 
 
+def test_overflowing_alpha_exits_1_without_warnings(capsys):
+    argv = ["state-info", "--kind", "deformed", "--family", "harmonic", "--nmax", "9", "--p", "0.5"]
+    for alpha in ("1e30", "1e100"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--alpha", alpha]) == 1, alpha
+        assert caught == [], [str(w.message) for w in caught]
+        err = capsys.readouterr().err
+        assert "domain error: alpha = %r overflows" % float(alpha) in err, err
+
+
 def test_no_command_leaves_state_for_a_later_one(capsys):
     fixed = ["state-info", "--kind", "gwl", "--concurrence", "0.5", "--p", "0.7", "--oracle", "--grid", "16"]
     assert main(fixed) == 0

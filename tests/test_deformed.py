@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -148,6 +149,22 @@ def test_non_finite_alpha_is_a_domain_error():
             coherent_coefficients(spec, alpha, "A")
         with pytest.raises(DomainError, match="alpha must be finite and non-negative"):
             displacement_validity(spec, alpha)
+
+
+def test_overflowing_alpha_is_a_domain_error():
+    # alpha^n / sqrt(n!) overflows the weights, or their squares, well before
+    # n_max = 9 at these alphas: a domain error naming alpha, and no warning
+    spec = DeformationSpec("poschl_teller", N=10, n_max=9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (1e30, 1e100):
+            for kind in ("coherent", "A", "D"):
+                with pytest.raises(DomainError, match=re.escape("alpha = %r overflows" % alpha)):
+                    coherent_coefficients(spec, alpha, kind)
+        # the last kept level is finite but the next one's square is not: the
+        # ket stands, and its diagnostic tail is nan
+        ket = coherent_coefficients(DeformationSpec("harmonic", n_max=1), 1e100, "coherent")
+        assert math.isnan(ket.truncation_tail)
 
 
 def test_displacement_validity():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -386,6 +387,205 @@ def test_qd_numeric_refinement_cap():
         raise AssertionError("expected NumericError from the poll cap")
 
 
+# --- multi-level refine against the one-level lockstep search ------------
+#
+# _lockstep_qd_numeric is qd_numeric as it stood while each refine kernel
+# call made one compass poll and the grid phase was one call per state,
+# kept verbatim as the frozen reference. qd_numeric now polls several
+# halving levels per call and evaluates the grid in chunks, with the same
+# arithmetic on the same directions, so its values, and the index and
+# best value of a poll-cap error, must equal the reference's bit for bit.
+
+
+def _lockstep_qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
+    d = discord_module
+    t = resolve_tolerance(tol)
+    grid_n = int(grid_n)
+    if not 8 <= grid_n <= MAX_GRID_N:
+        raise DomainError("grid_n must be in [8, %d], got %d" % (MAX_GRID_N, grid_n))
+    rho = np.asarray(rho, dtype=complex)
+    single = rho.ndim == 2
+    stack = rho[None] if single else rho
+    if stack.ndim != 3 or stack.shape[1:] != (4, 4):
+        raise DomainError(
+            "expected a 4x4 density matrix or a stack of them, got shape %r" % (rho.shape,)
+        )
+    if partition not in ("A", "B"):
+        raise DomainError("partition must be 'A' or 'B', got %r" % (partition,))
+    d._check_densities(stack, t, single)
+    n = len(stack)
+    corr = d._correlation_matrices(stack)
+    if partition == "B":
+        corr = corr.swapaxes(0, 1)
+
+    eig = np.clip(np.linalg.eigvalsh(stack), 0.0, 1.0)
+    s_total = -np.sum(eig * np.log2(eig, out=np.zeros_like(eig), where=eig > 0.0), axis=1)
+    offset = d._branch_entropy(*(2.0 * corr[:, 0])) - s_total
+
+    tt, pp, grid, h_t0, h_p0 = d._direction_grid(grid_n)
+    best = np.empty(n)
+    bt = np.empty(n)
+    bp = np.empty(n)
+    for k in range(n):
+        vals = d._avg_conditional_entropy(corr[:, :, k, None], grid)
+        j = int(np.argmin(vals))
+        best[k], bt[k], bp[k] = vals[j], tt[j], pp[j]
+
+    h_t = np.full(n, h_t0)
+    h_p = np.full(n, h_p0)
+    polls = 0
+    while True:
+        act = np.flatnonzero((h_t >= REFINE_TARGET) | (h_p >= REFINE_TARGET))
+        if act.size == 0:
+            break
+        if polls >= refine_iters:
+            k = int(act[0])
+            result = float(offset[k] + best[k])
+            err = NumericError(
+                "measurement minimization%s did not reach %g rad in %d polls; "
+                "best value %r"
+                % ("" if single else " of state %d" % k, REFINE_TARGET, refine_iters, result)
+            )
+            err.index = k
+            err.best_value = result
+            raise err
+        t0, p0, ht, hp = bt[act], bp[act], h_t[act], h_p[act]
+        move_t = np.stack((t0 + ht, t0 - ht, t0, t0), axis=1)
+        move_p = np.stack((p0, p0, p0 + hp, p0 - hp), axis=1)
+        mvals = d._avg_conditional_entropy(corr[:, :, act, None], d._directions(move_t, move_p))
+        rows = np.arange(act.size)
+        j = np.argmin(mvals, axis=1)
+        vj = mvals[rows, j]
+        won = vj < best[act]
+        best[act[won]] = vj[won]
+        bt[act[won]] = move_t[rows, j][won]
+        bp[act[won]] = move_p[rows, j][won]
+        h_t[act[~won]] *= 0.5
+        h_p[act[~won]] *= 0.5
+        polls += 1
+
+    values = offset + best
+    return float(values[0]) if single else values
+
+
+def _outcome(search, rho, **kw):
+    # the value's bits, or what a poll-cap error carries
+    try:
+        return np.float64(search(rho, **kw)).tobytes()
+    except NumericError as err:
+        return (str(err), err.index, np.float64(err.best_value).tobytes())
+
+
+def _mixed_stack():
+    # Werner, random GWL, deformed and kernel-edge states in one stack
+    rng = np.random.default_rng(11)
+    stack = [werner(-0.5), werner(0.25)]
+    stack += [gwl(random_pure_state(seed=int(rng.integers(1 << 30))), p) for p in (-0.2, 0.55, 0.97)]
+    spec = DeformationSpec("poschl_teller", N=10, n_max=9)
+    stack.append(gwl(quasi_bell_wmatrix(QuasiBellSpec(spec, 1.1, "A")), 0.7))
+    return np.array(stack + list(EDGE_STATES))
+
+
+LEVELS = discord_module._REFINE_LEVELS
+
+
+@pytest.mark.parametrize("partition", ["A", "B"])
+@pytest.mark.parametrize("refine_iters", [1, 7, 30, LEVELS, LEVELS + 1, 500])
+@pytest.mark.parametrize("grid_n", [8, 9, 33, 64])
+def test_qd_numeric_equals_the_one_level_lockstep_search(grid_n, refine_iters, partition):
+    # grid_n sets the theta and phi steps, which fall below REFINE_TARGET
+    # at different levels of a block; refine_iters puts the poll cap
+    # inside a block, at its edge, one past it, or out of reach
+    stack = _mixed_stack()
+    kw = dict(grid_n=grid_n, refine_iters=refine_iters, partition=partition)
+    assert _outcome(qd_numeric, stack, **kw) == _outcome(_lockstep_qd_numeric, stack, **kw)
+    # a larger stack polls fewer levels per call while most of it refines
+    tall = np.concatenate([stack] * 4)
+    assert _outcome(qd_numeric, tall, **kw) == _outcome(_lockstep_qd_numeric, tall, **kw)
+    if refine_iters < 500:
+        for rho in stack:
+            assert _outcome(qd_numeric, rho, **kw) == _outcome(_lockstep_qd_numeric, rho, **kw)
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = discord_module._avg_conditional_entropy
+
+    def counted(corr, n):
+        calls.append(n.shape)
+        return kernel(corr, n)
+
+    monkeypatch.setattr(discord_module, "_avg_conditional_entropy", counted)
+    return calls
+
+
+def test_refine_polls_several_halving_levels_per_kernel_call(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    # no compass move beats the Werner state's grid minimum, so its refine
+    # is 26 losing polls: the grid's pi/64 phi step halved past REFINE_TARGET
+    _lockstep_qd_numeric(werner(-0.5))
+    assert len(calls) == 1 + 26
+    del calls[:]
+    qd_numeric(werner(-0.5))
+    assert len(calls) == 1 + math.ceil(26 / LEVELS)
+    # a random-GWL stack: one grid call per state, then fewer refine calls
+    # than the longest search among them has polls
+    rng = np.random.default_rng(5)
+    psi = random_pure_state(seed=8)
+    stack = np.array([gwl(psi, p) for p in rng.uniform(-1.0 / 3.0, 1.0, size=20)])
+    del calls[:]
+    _lockstep_qd_numeric(stack)
+    longest = len(calls) - len(stack)
+    del calls[:]
+    qd_numeric(stack)
+    assert len(calls) - len(stack) < longest
+
+
+def test_grid_phase_chunks_keep_the_first_minimum(monkeypatch):
+    # 300 x 300 = 90,000 directions span two chunks; tiny chunks split the
+    # default grid at many places, between directions that tie on the
+    # product and maximally mixed states
+    stack = _mixed_stack()
+    assert 300 * 300 > discord_module._GRID_CHUNK
+    assert qd_numeric(stack, grid_n=300).tobytes() == _lockstep_qd_numeric(stack, grid_n=300).tobytes()
+    monkeypatch.setattr(discord_module, "_GRID_CHUNK", 1000)
+    for partition in ("A", "B"):
+        values = qd_numeric(stack, partition=partition)
+        assert values.tobytes() == _lockstep_qd_numeric(stack, partition=partition).tobytes()
+    # a kernel that ties every direction: the refine must still start from
+    # the grid's first direction, theta = phi = 0, so its first moves are
+    # (+-h_t, 0), with no y component, and (0, +-h_p), the z axis
+    seen = []
+
+    def flat(corr, n):
+        seen.append(n)
+        return np.zeros(n.shape[1:])
+
+    monkeypatch.setattr(discord_module, "_avg_conditional_entropy", flat)
+    qd_numeric(werner(-0.5))
+    first_refine = seen[math.ceil(64 * 64 / 1000)]
+    assert np.array_equal(first_refine[1, 0, :4], [0.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(first_refine[:, 0, 2], [0.0, 0.0, 1.0])
+
+
+def test_grid_phase_memory_is_bounded_at_the_grid_cap():
+    # the direction grid is a cache; the search's own temporaries at the
+    # 10^6-direction cap stay near one chunk's, not the whole grid's
+    rho = werner(0.2)
+    try:
+        first = qd_numeric(rho, grid_n=MAX_GRID_N)
+        tracemalloc.start()
+        try:
+            again = qd_numeric(rho, grid_n=MAX_GRID_N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        discord_module._direction_grid.cache_clear()
+    assert again == first
+    assert peak < 16 * 2**20, peak
+
+
 # --- stacked oracle against the serial search it replaced -----------------
 #
 # _serial_qd_numeric is the one-state qd_numeric as it stood before the
@@ -504,6 +704,7 @@ def _serial_qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None
 def _assert_stack_matches_serial(stack, **kw):
     values = qd_numeric(stack, **kw)
     assert isinstance(values, np.ndarray) and values.shape == (len(stack),)
+    assert values.tobytes() == _lockstep_qd_numeric(stack, **kw).tobytes()
     for k, rho in enumerate(stack):
         assert abs(values[k] - _serial_qd_numeric(rho, **kw)) <= SERIAL_BOUND, k
         assert values[k] == qd_numeric(rho, **kw), k
