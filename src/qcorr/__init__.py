@@ -50,7 +50,6 @@ from .entanglement import (
 from .linalg import (
     DomainError,
     NumericError,
-    Spectrum,
     binary_entropy,
     general_eigenvalues_4x4,
     hermitian_eigenvalues,

@@ -385,7 +385,7 @@ def cmd_state_info(args):
         if kind == "deformed":
             print("overlap s: %s" % _fmt(overlap(spec, args.alpha, args.deformed_kind)))
     eof = eof_from_concurrence(conc, tol)
-    eigs = hermitian_eigenvalues(rho, tol).eigenvalues
+    eigs = hermitian_eigenvalues(rho, tol)
     print("eigenvalues: %s" % ", ".join(_fmt(v) for v in eigs))
     print("concurrence: %s" % _fmt(conc))
     print("entropy_total: %s" % _fmt(von_neumann_entropy(rho, tol)))

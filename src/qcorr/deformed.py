@@ -22,6 +22,11 @@ The symmetric quasi-Bell pair of |alpha> and |-alpha> on both modes has
 the diagonal W-matrix diag(n_X (1 + s), +- n_X (1 - s)) in the even/odd
 cat basis, where s = <alpha|-alpha> is the (real) overlap and
 n_X = 1 / sqrt(2 (1 + s^2)); its concurrence is (1 - s^2)/(1 + s^2).
+
+Every f(n) comes from one table f(0..top), built in a single upward
+pass that carries the exciton's Laguerre recurrences along. Each
+operation that needs f builds it once, so a ket over n levels costs
+O(n), and no level exceeds MAX_NMAX.
 """
 
 from __future__ import annotations
@@ -37,6 +42,9 @@ from .linalg import DEFAULT_TOLERANCE, DomainError, resolve_tolerance
 from .states import WMatrix
 
 FAMILIES = ("harmonic", "poschl_teller", "exciton", "morse")
+
+#: Highest truncation level: a ket holds at most MAX_NMAX + 1 levels.
+MAX_NMAX = 100_000
 
 #: select_nmax cap for the harmonic family, which has no physical bound.
 HARMONIC_CAP = 64
@@ -54,14 +62,16 @@ def _canonical_kind(kind):
         raise DomainError("kind must be one of A, D, coherent; got %r" % (kind,)) from None
 
 
-def _laguerre(n, k, x):
-    # associated Laguerre L^k_n(x) by the three-term upward recurrence
-    lm1, l = 1.0, 1.0 + k - x
-    if n == 0:
-        return lm1
-    for j in range(1, n):
-        lm1, l = l, ((2 * j + 1 + k - x) * l - (j + k) * lm1) / (j + 1)
-    return l
+def _integer(value, what, lo, hi=math.inf):
+    # the one check of N and of truncation levels: NaN, infinities and
+    # fractions are domain errors, never truncated
+    try:
+        whole = int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not (whole and lo <= value <= hi):
+        raise DomainError("%s must be an integer in [%d, %s], got %r" % (what, lo, hi, value))
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -83,20 +93,11 @@ class DeformationSpec:
         if self.family not in FAMILIES:
             raise DomainError("unknown family %r, expected one of %r" % (self.family, FAMILIES))
         if self.family in ("poschl_teller", "morse"):
-            if self.N is None or int(self.N) < 1 or int(self.N) != self.N:
-                raise DomainError("%s needs a positive integer N, got %r" % (self.family, self.N))
-        if self.family == "exciton":
-            if self.kappa is None or not float(self.kappa) > 0.0:
-                raise DomainError("exciton needs kappa > 0, got %r" % (self.kappa,))
+            _integer(self.N, "%s N" % self.family, 1)
+        if self.family == "exciton" and not 0.0 < float(self.kappa or 0.0) < math.inf:
+            raise DomainError("exciton needs a finite kappa > 0, got %r" % (self.kappa,))
         if self.n_max is not None:
-            if int(self.n_max) != self.n_max or int(self.n_max) < 0:
-                raise DomainError("n_max must be a non-negative integer, got %r" % (self.n_max,))
-            limit = _value_limit(self)
-            if limit is not None and self.n_max > limit:
-                raise DomainError(
-                    "n_max=%d breaks the %s validity window (max %d)"
-                    % (self.n_max, self.family, limit)
-                )
+            _f_table(self, _integer(self.n_max, "n_max", 0, MAX_NMAX))
 
 
 def hard_nmax(spec):
@@ -104,62 +105,58 @@ def hard_nmax(spec):
     if spec.family == "harmonic":
         return None
     if spec.family == "poschl_teller":
-        return int(math.floor(math.sqrt(spec.N * spec.N + 1.0)))
+        return math.floor(math.sqrt(spec.N * spec.N + 1.0))
+    # the exciton and morse windows are strict, n < x
     if spec.family == "exciton":
         x = (1.0 / (spec.kappa * spec.kappa) - 1.0) / 2.0
-        n = int(math.floor(x))
-        if float(n) == x:
-            n -= 1
-        return max(n, 0)
-    # morse
-    x = math.sqrt(2.0 * spec.N + 1.0)
-    n = int(math.floor(x))
-    if float(n) == x:
-        n -= 1
-    return n
+    else:
+        x = math.sqrt(2.0 * spec.N + 1.0)
+    return max(math.ceil(x) - 1, 0)
 
 
-def _formula_nmax(spec):
-    # largest n where f(n) is evaluable and positive, for override use
+def _f_table(spec, top, beyond=False):
+    """[f(0), ..., f(top)] from one upward pass; past the window, DomainError.
+
+    The window is the stated one, or with ``override_bound`` the levels
+    where f stays evaluable and positive: up to 2N for morse, and for the
+    exciton up to the first non-positive Laguerre factor, at most
+    MAX_NMAX. ``beyond`` selects that wider window but ends the table at
+    its edge instead of raising.
+    """
+    wide = beyond or spec.override_bound
+    if spec.family == "morse" and wide:
+        limit = 2 * int(spec.N)
+    elif spec.family == "exciton" and wide:
+        limit = MAX_NMAX
+    else:
+        limit = hard_nmax(spec)
+    last = top if limit is None else min(top, limit)
     if spec.family == "harmonic":
-        return None
-    if spec.family == "poschl_teller":
-        return hard_nmax(spec)
-    if spec.family == "morse":
-        return 2 * spec.N
-    # exciton: walk up until a Laguerre factor loses positivity
-    k2 = spec.kappa * spec.kappa
-    n = 0
-    while n < 100000:
-        if _laguerre(n + 1, 0, k2) <= 0.0 or _laguerre(n + 1, 1, k2) <= 0.0:
-            return n
-        n += 1
-    return n
-
-
-def _value_limit(spec, beyond=False):
-    if beyond or spec.override_bound:
-        return _formula_nmax(spec)
-    return hard_nmax(spec)
-
-
-def _f_value(spec, n, beyond=False):
-    n = int(n)
-    if n < 0:
-        raise DomainError("level index must be non-negative, got %d" % n)
-    limit = _value_limit(spec, beyond)
-    if limit is not None and n > limit:
+        table = [1.0] * (last + 1)
+    elif spec.family == "poschl_teller":
+        root = math.sqrt(spec.N * spec.N + 1.0)
+        table = [math.sqrt((root - n) / spec.N) for n in range(last + 1)]
+    elif spec.family == "morse":
+        table = [math.sqrt(1.0 + (1.0 - n) / (2.0 * spec.N)) for n in range(last + 1)]
+    else:
+        # L^k_n(x), x = kappa^2, by the three-term upward recurrence from
+        # L^k_{-1} = 0 and L^k_0 = 1
+        x = spec.kappa * spec.kappa
+        scale = math.exp(-x)
+        l0_prev, l0, l1_prev, l1 = 0.0, 1.0, 0.0, 1.0
+        table = [scale]
+        for n in range(1, last + 1):
+            l0_prev, l0 = l0, ((2 * n - 1 - x) * l0 - (n - 1) * l0_prev) / n
+            l1_prev, l1 = l1, ((2 * n - x) * l1 - n * l1_prev) / n
+            if l0 <= 0.0 or l1 <= 0.0:
+                break
+            table.append(scale * l1 / ((n + 1) * l0))
+    if len(table) <= top and not beyond:
         raise DomainError(
-            "level n=%d outside the %s validity window (max %d)" % (n, spec.family, limit)
+            "level n=%d outside the %s validity window (max %d)"
+            % (len(table), spec.family, len(table) - 1)
         )
-    if spec.family == "harmonic":
-        return 1.0
-    if spec.family == "poschl_teller":
-        return math.sqrt((math.sqrt(spec.N * spec.N + 1.0) - n) / spec.N)
-    if spec.family == "exciton":
-        k2 = spec.kappa * spec.kappa
-        return math.exp(-k2) * _laguerre(n, 1, k2) / ((n + 1) * _laguerre(n, 0, k2))
-    return math.sqrt(1.0 + (1.0 - n) / (2.0 * spec.N))
+    return table
 
 
 def deformation_value(spec, n):
@@ -169,7 +166,8 @@ def deformation_value(spec, n):
     the spec carries ``override_bound`` (and even then only while the
     expression stays positive).
     """
-    return _f_value(spec, n)
+    n = _integer(n, "level n", 0, MAX_NMAX)
+    return _f_table(spec, n)[n]
 
 
 @dataclass(frozen=True)
@@ -204,6 +202,8 @@ def coherent_coefficients(spec, alpha, kind):
     if spec.n_max is None:
         raise DomainError("spec.n_max must be set to build coefficients")
     exp = {"A": -1, "D": 1, "coherent": 0}[kind]
+    # the kept levels lie inside the window; the next one may not
+    f = _f_table(spec, spec.n_max + 1, beyond=True)
     weights = np.empty(spec.n_max + 1)
     weights[0] = 1.0
     # a large alpha overflows the weights or their squares to inf, which is
@@ -211,19 +211,17 @@ def coherent_coefficients(spec, alpha, kind):
     # level whose square overflows leaves the tail nan
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, spec.n_max + 1):
-            weights[n] = weights[n - 1] * alpha / math.sqrt(n) * _f_value(spec, n) ** exp
+            weights[n] = weights[n - 1] * alpha / math.sqrt(n) * f[n] ** exp
         mass = float(np.sum(weights**2))
         if not 0.0 < mass < math.inf:
             raise DomainError(
                 "alpha = %r overflows the level weights of the %s ket on levels 0..%d"
                 % (alpha, kind, spec.n_max)
             )
-        try:
-            nxt = weights[spec.n_max] * alpha / math.sqrt(spec.n_max + 1)
-            nxt *= _f_value(spec, spec.n_max + 1, beyond=True) ** exp
+        tail = float("nan")
+        if len(f) > spec.n_max + 1:
+            nxt = weights[spec.n_max] * alpha / math.sqrt(spec.n_max + 1) * f[-1] ** exp
             tail = nxt * nxt / (mass + nxt * nxt)
-        except DomainError:
-            tail = float("nan")
     return DeformedKet(
         coefficients=weights / math.sqrt(mass),
         alpha=alpha,
@@ -245,18 +243,19 @@ def displacement_validity(spec, alpha, n_max=None):
     alpha = float(alpha)
     if not 0.0 <= alpha < math.inf:
         raise DomainError("alpha must be finite and non-negative, got %r" % alpha)
-    if n_max is None:
-        n_max = spec.n_max
+    n_max = spec.n_max if n_max is None else n_max
     if n_max is None:
         raise DomainError("n_max must be given (argument or spec)")
-    n_max = int(n_max)
+    n_max = _integer(n_max, "n_max", 0, MAX_NMAX)
+    f = _f_table(spec, n_max + 1, beyond=True)
+    if len(f) < n_max + 2:
+        raise DomainError(
+            "phi(%d) needs f(%d), past the %s formula window (max %d)"
+            % (n_max, n_max + 1, spec.family, len(f) - 1)
+        )
     worst = 0.0
-    f_sq = _f_value(spec, 0, beyond=True) ** 2
-    for n in range(0, n_max + 1):
-        f_sq_next = _f_value(spec, n + 1, beyond=True) ** 2
-        phi = (n + 1) * f_sq_next - n * f_sq - 1.0
-        worst = max(worst, abs(phi))
-        f_sq = f_sq_next
+    for n in range(n_max + 1):
+        worst = max(worst, abs((n + 1) * f[n + 1] ** 2 - n * f[n] ** 2 - 1.0))
     return alpha * alpha / 2.0 * worst
 
 
@@ -317,13 +316,13 @@ def select_nmax(spec, alpha, kind, tol=1e-10):
     Compares the discord of the quasi-Bell state at the mixing parameter
     SELECT_NMAX_PROBE_P for successive levels and returns the first n
     with |QD(n) - QD(n + 1)| < tol. Bounded families cap the search at
-    one level below the validity window (so n + 1 stays evaluable); the
-    harmonic family caps at HARMONIC_CAP. When the difference never
+    one level below the validity window or MAX_NMAX, whichever is lower
+    (so n + 1 stays evaluable); the harmonic family caps at HARMONIC_CAP. When the difference never
     drops below tol the cap is returned with a warning. spec.n_max is
     ignored.
     """
     limit = hard_nmax(spec)
-    cap = HARMONIC_CAP if limit is None else limit - 1
+    cap = HARMONIC_CAP if limit is None else min(limit, MAX_NMAX) - 1
     if cap < 1:
         raise DomainError("family window leaves no room to compare levels (cap %d)" % cap)
     # one ket at the top level gives the overlap of every truncation n:

@@ -49,11 +49,12 @@ two branches exactly, so n and -n give the same value bit for bit, and
 the grid covers only the half sphere phi in [0, pi).
 
 The search is a grid_n x grid_n direction grid, computed once per grid
-size and cached, followed by compass refinement down to 1e-9 radians.
-It takes one 4x4 matrix or a stack of K of them; a single matrix is a
-stack of one. The grid phase runs state by state, in chunks of at most
-2^16 directions, keeping the first minimum. grid_n is capped at
-MAX_GRID_N, which bounds the grid at 10^6 directions.
+size and cached as its Bloch vectors and its two angle axes, followed
+by compass refinement down to 1e-9 radians. It takes one 4x4 matrix or
+a stack of K of them; a single matrix is a stack of one. The grid phase
+runs state by state, in chunks of at most 2^16 directions, keeping the
+first minimum. grid_n is capped at MAX_GRID_N, which bounds the grid at
+10^6 directions.
 
 The refine is a compass search: each poll tries the four moves
 (theta +- h_t, phi) and (theta, phi +- h_p), takes the best if it beats
@@ -391,18 +392,18 @@ def _directions(theta, phi):
 
 @functools.lru_cache(maxsize=2)
 def _direction_grid(grid_n):
-    # the flattened (theta, phi) half-sphere grid, its Bloch vectors and
-    # its two spacings; every state measured on the same grid_n shares
-    # them. phi stops short of pi: (pi/2 - theta, phi + pi) is -n, which
-    # the kernel gives the same value as n
+    # the Bloch vectors of the flattened (theta, phi) half-sphere grid and
+    # its two axes; direction i * grid_n + j is (thetas[i], phis[j]), and
+    # every state measured on the same grid_n shares them. phi stops short
+    # of pi: (pi/2 - theta, phi + pi) is -n, which the kernel gives the
+    # same value as n
     thetas = np.linspace(0.0, math.pi / 2.0, grid_n)
     phis = np.linspace(0.0, math.pi, grid_n, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    tt, pp = tt.ravel(), pp.ravel()
-    n = _directions(tt, pp)
-    for a in (tt, pp, n):
+    n = _directions(tt.ravel(), pp.ravel())
+    for a in (n, thetas, phis):
         a.flags.writeable = False
-    return tt, pp, n, float(thetas[1] - thetas[0]), float(phis[1] - phis[0])
+    return n, thetas, phis
 
 
 def _avg_conditional_entropy(corr, n):
@@ -482,18 +483,10 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     negative give the same value (see the module docstring).
 
     ``rho`` may be one 4x4 matrix or a stack of K of them. The grid
-    phase runs state by state over one shared direction grid. Then each
-    refine kernel call evaluates, for every state still refining, the
-    four compass moves at its current steps and at the next halvings
-    about the same centre, and replays the one-poll rule on them (see
-    the module docstring). Each state's best move, acceptance test, step
-    halving and poll count are those of a search run on it alone. Both
-    phases evaluate the conditional entropies with one kernel on the
-    state's real correlation matrix R, which applies the same elementwise
-    operations in the same order whatever the batch shape: one state's
-    entries of R against a chunk of grid directions, or a column of them
-    against a block of moves per state. So a state's value does not
-    depend on the rest of the stack, to the bit. Measuring side B uses R
+    phase runs state by state over one shared direction grid, and the
+    multi-level compass refine runs the whole stack together; the module
+    docstring gives the full account. A state's value does not depend on
+    the rest of the stack, to the bit. Measuring side B uses R
     transposed.
 
     Parameters
@@ -543,20 +536,21 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     s_total = -np.sum(eig * np.log2(eig, out=np.zeros_like(eig), where=eig > 0.0), axis=1)
     offset = _branch_entropy(*(2.0 * corr[:, 0])) - s_total
 
-    tt, pp, grid, h_t0, h_p0 = _direction_grid(grid_n)
+    grid, thetas, phis = _direction_grid(grid_n)
     best = np.empty(n)
     bt = np.empty(n)
     bp = np.empty(n)
     for k in range(n):
         # the first minimum over the whole grid, chunk by chunk
-        for s in range(0, tt.size, _GRID_CHUNK):
+        for s in range(0, grid.shape[1], _GRID_CHUNK):
             vals = _avg_conditional_entropy(corr[:, :, k, None], grid[:, s : s + _GRID_CHUNK])
             j = int(np.argmin(vals))
             if s == 0 or vals[j] < best[k]:
-                best[k], bt[k], bp[k] = vals[j], tt[s + j], pp[s + j]
+                i, jp = divmod(s + j, grid_n)
+                best[k], bt[k], bp[k] = vals[j], thetas[i], phis[jp]
 
-    h_t = np.full(n, h_t0)
-    h_p = np.full(n, h_p0)
+    h_t = np.full(n, thetas[1] - thetas[0])
+    h_p = np.full(n, phis[1] - phis[0])
     polls = np.zeros(n, dtype=np.int64)
     while True:
         act = np.flatnonzero(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,10 +45,10 @@ PAULI_Y = _const([[0, -1j], [1j, 0]])
 PAULI_Z = _const([[1, 0], [0, -1]])
 
 
-def _as_square(m, name="matrix"):
+def _as_square(m):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
-        raise DomainError("%s must be 2x2 or 4x4, got shape %r" % (name, m.shape))
+        raise DomainError("matrix must be 2x2 or 4x4, got shape %r" % (m.shape,))
     return m
 
 
@@ -57,30 +56,6 @@ def is_hermitian(m, tol=None):
     """True when ``m`` equals its conjugate transpose within tolerance."""
     m = _as_square(m)
     return bool(np.max(np.abs(m - m.conj().T)) <= resolve_tolerance(tol))
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Real eigenvalues of a Hermitian matrix, sorted descending."""
-
-    eigenvalues: np.ndarray
-
-    def check_density(self, tol=None):
-        """Raise DomainError unless the eigenvalues form a probability set.
-
-        Each eigenvalue must lie in [-tol, 1 + tol] and their sum must be
-        1 within tolerance.
-        """
-        t = resolve_tolerance(tol)
-        lo = float(np.min(self.eigenvalues))
-        hi = float(np.max(self.eigenvalues))
-        if lo < -t or hi > 1.0 + t:
-            raise DomainError(
-                "eigenvalues outside [0, 1] beyond tolerance: min=%g max=%g" % (lo, hi)
-            )
-        total = float(np.sum(self.eigenvalues))
-        if abs(total - 1.0) > t:
-            raise DomainError("eigenvalue sum %g differs from 1 beyond tolerance" % total)
 
 
 def check_range(x, lo, hi, what, tol=None):
@@ -134,7 +109,7 @@ def hermitian_eigenvalues(m, tol=None):
 
     Returns
     -------
-    Spectrum
+    numpy.ndarray
     """
     t = resolve_tolerance(tol)
     m = _as_square(m)
@@ -148,7 +123,7 @@ def hermitian_eigenvalues(m, tol=None):
             stacklevel=2,
         )
         vals[tiny] = 0.0
-    return Spectrum(eigenvalues=vals)
+    return vals
 
 
 def general_eigenvalues_4x4(m):
@@ -180,18 +155,16 @@ def von_neumann_entropy(rho, tol=None):
         within tolerance.
     """
     t = resolve_tolerance(tol)
-    rho = _as_square(rho, "rho")
-    if not is_hermitian(rho, t):
-        raise DomainError("density matrix is not Hermitian within tolerance")
+    vals = hermitian_eigenvalues(rho, t)
     tr = float(np.real(np.trace(rho)))
     if abs(tr - 1.0) > t:
         raise DomainError("density matrix trace %g differs from 1 beyond tolerance" % tr)
-    spectrum = hermitian_eigenvalues(rho, t)
-    if float(np.min(spectrum.eigenvalues)) < -t:
-        raise DomainError("density matrix is not positive semidefinite within tolerance")
-    spectrum.check_density(t)
+    if vals[-1] < -t or vals[0] > 1.0 + t:
+        raise DomainError(
+            "eigenvalues outside [0, 1] beyond tolerance: min=%g max=%g" % (vals[-1], vals[0])
+        )
     out = 0.0
-    for lam in spectrum.eigenvalues:
+    for lam in vals:
         lam = float(lam)
         if lam > 0.0:
             out -= lam * math.log2(min(1.0, lam))

@@ -20,8 +20,10 @@ from qcorr import (
     werner,
 )
 from qcorr import cli
+from qcorr import deformed as deformed_module
 from qcorr import discord as discord_module
 from qcorr.cli import CurveRow, UsageError, _bisect, _diagonal_wmatrix, csv_text, main, p_grid
+from qcorr.deformed import MAX_NMAX
 
 
 def test_p_grid():
@@ -249,6 +251,27 @@ def test_sweep_deformed_auto_truncation(tmp_path):
     )
     assert rc == 0
     assert len(out.read_text().splitlines()) == 4
+
+
+def test_deformed_levels_are_capped_before_any_ket_is_built(monkeypatch, capsys):
+    # without --nmax, kappa = 1e-6 states a window of 5e11 levels, which is
+    # searched only up to MAX_NMAX; a larger --nmax is refused before any ket
+    tops = []
+    real = deformed_module.coherent_coefficients
+
+    def recording(spec, alpha, kind):
+        tops.append(spec.n_max)
+        return real(spec, alpha, kind)
+
+    monkeypatch.setattr(deformed_module, "coherent_coefficients", recording)
+    argv = ["state-info", "--kind", "deformed", "--alpha", "0.5", "--p", "0.5"]
+    assert main(argv + ["--family", "exciton", "--kappa", "1e-6"]) == 0
+    assert max(tops) == MAX_NMAX
+    capsys.readouterr()
+    tops.clear()
+    assert main(argv + ["--family", "harmonic", "--nmax", "1000000000"]) == 1
+    assert tops == []
+    assert "n_max must be an integer in [0, 100000]" in capsys.readouterr().err
 
 
 def test_error_exit_codes(capsys):

@@ -1,6 +1,8 @@
+import functools
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from qcorr import (
     quasi_bell_wmatrix,
     select_nmax,
 )
+from qcorr import deformed as deformed_module
+from qcorr.deformed import MAX_NMAX
 
 PT10 = DeformationSpec("poschl_teller", N=10)
 EXC03 = DeformationSpec("exciton", kappa=0.3)
@@ -247,3 +251,236 @@ def test_select_nmax():
         assert select_nmax(DeformationSpec("harmonic", n_max=3), 0.65, "A") == 9
     with pytest.raises(DomainError):
         select_nmax(DeformationSpec("exciton", kappa=0.8), 0.65, "A")  # cap < 1
+
+
+def test_levels_and_N_pass_one_integer_check():
+    pt = DeformationSpec("poschl_teller", N=10, n_max=9)
+    nan, inf = float("nan"), float("inf")
+    for bad in (-5, 2.7, nan, inf, MAX_NMAX + 1, "3"):
+        with pytest.raises(DomainError, match="n_max must be an integer"):
+            displacement_validity(pt, 0.65, n_max=bad)
+        with pytest.raises(DomainError, match="n_max must be an integer"):
+            DeformationSpec("harmonic", n_max=bad)
+    for bad in (-1, 2.7, nan, MAX_NMAX + 1):
+        with pytest.raises(DomainError, match="level n must be an integer"):
+            deformation_value(HARMONIC, bad)
+    for bad in (None, 0, 2.5, nan, inf, "18"):
+        with pytest.raises(DomainError, match="morse N must be an integer"):
+            DeformationSpec("morse", N=bad)
+    for bad in (None, 0.0, -0.3, nan, inf):
+        with pytest.raises(DomainError, match="finite kappa"):
+            DeformationSpec("exciton", kappa=bad)
+    # the cap itself is a valid level
+    assert DeformationSpec("harmonic", n_max=MAX_NMAX).n_max == MAX_NMAX
+    assert deformation_value(HARMONIC, MAX_NMAX) == 1.0
+
+
+def test_each_call_builds_the_f_table_once(monkeypatch):
+    # every operation reads f from one table, built once per call, so its
+    # work grows linearly with the levels it reads
+    spec = DeformationSpec("exciton", kappa=0.03, n_max=60)
+    tops = []
+    real = deformed_module._f_table
+
+    def counting(spec, top, beyond=False):
+        tops.append(top)
+        return real(spec, top, beyond)
+
+    monkeypatch.setattr(deformed_module, "_f_table", counting)
+    for call, expected in (
+        (lambda: coherent_coefficients(spec, 0.5, "A"), [61]),
+        (lambda: overlap(spec, 0.5, "D"), [61]),
+        (lambda: displacement_validity(spec, 0.5), [61]),
+        (lambda: deformation_value(spec, 60), [60]),
+        (lambda: DeformationSpec("exciton", kappa=0.03, n_max=60), [60]),
+        # the truncated spec's n_max check, then its ket: hard_nmax is 555
+        (lambda: select_nmax(DeformationSpec("exciton", kappa=0.03), 0.5, "A"), [555, 556]),
+    ):
+        tops.clear()
+        call()
+        assert tops == expected
+
+
+# --- one f table against the per-level evaluation it replaced -------------
+#
+# _laguerre, _formula_nmax, _value_limit and _f_value are the deformed
+# module's per-level evaluation as it stood before the one-pass table, kept
+# verbatim as the frozen reference; _frozen_hard_nmax is the hard_nmax they
+# called. The only change is the cache on _formula_nmax, which keeps the
+# reference at O(n^2) per table and changes none of its arithmetic. The
+# table runs the same recurrences in the same order, so every f(n), every
+# window, ket, tail, overlap and displacement_validity must equal (==) the
+# reference's.
+
+
+def _frozen_hard_nmax(spec):
+    """Largest n inside the family's stated validity window (None = unbounded)."""
+    if spec.family == "harmonic":
+        return None
+    if spec.family == "poschl_teller":
+        return int(math.floor(math.sqrt(spec.N * spec.N + 1.0)))
+    if spec.family == "exciton":
+        x = (1.0 / (spec.kappa * spec.kappa) - 1.0) / 2.0
+        n = int(math.floor(x))
+        if float(n) == x:
+            n -= 1
+        return max(n, 0)
+    # morse
+    x = math.sqrt(2.0 * spec.N + 1.0)
+    n = int(math.floor(x))
+    if float(n) == x:
+        n -= 1
+    return n
+
+
+def _laguerre(n, k, x):
+    # associated Laguerre L^k_n(x) by the three-term upward recurrence
+    lm1, l = 1.0, 1.0 + k - x
+    if n == 0:
+        return lm1
+    for j in range(1, n):
+        lm1, l = l, ((2 * j + 1 + k - x) * l - (j + k) * lm1) / (j + 1)
+    return l
+
+
+@functools.lru_cache(maxsize=None)
+def _formula_nmax(spec):
+    # largest n where f(n) is evaluable and positive, for override use
+    if spec.family == "harmonic":
+        return None
+    if spec.family == "poschl_teller":
+        return _frozen_hard_nmax(spec)
+    if spec.family == "morse":
+        return 2 * spec.N
+    # exciton: walk up until a Laguerre factor loses positivity
+    k2 = spec.kappa * spec.kappa
+    n = 0
+    while n < 100000:
+        if _laguerre(n + 1, 0, k2) <= 0.0 or _laguerre(n + 1, 1, k2) <= 0.0:
+            return n
+        n += 1
+    return n
+
+
+def _value_limit(spec, beyond=False):
+    if beyond or spec.override_bound:
+        return _formula_nmax(spec)
+    return _frozen_hard_nmax(spec)
+
+
+def _f_value(spec, n, beyond=False):
+    n = int(n)
+    if n < 0:
+        raise DomainError("level index must be non-negative, got %d" % n)
+    limit = _value_limit(spec, beyond)
+    if limit is not None and n > limit:
+        raise DomainError(
+            "level n=%d outside the %s validity window (max %d)" % (n, spec.family, limit)
+        )
+    if spec.family == "harmonic":
+        return 1.0
+    if spec.family == "poschl_teller":
+        return math.sqrt((math.sqrt(spec.N * spec.N + 1.0) - n) / spec.N)
+    if spec.family == "exciton":
+        k2 = spec.kappa * spec.kappa
+        return math.exp(-k2) * _laguerre(n, 1, k2) / ((n + 1) * _laguerre(n, 0, k2))
+    return math.sqrt(1.0 + (1.0 - n) / (2.0 * spec.N))
+
+
+def _frozen_ket(spec, alpha, kind):
+    # coherent_coefficients' weights and tail on the reference's f values
+    exp = {"A": -1, "D": 1, "coherent": 0}[kind]
+    weights = np.empty(spec.n_max + 1)
+    weights[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, spec.n_max + 1):
+            weights[n] = weights[n - 1] * alpha / math.sqrt(n) * _f_value(spec, n) ** exp
+        mass = float(np.sum(weights**2))
+        try:
+            nxt = weights[spec.n_max] * alpha / math.sqrt(spec.n_max + 1)
+            nxt *= _f_value(spec, spec.n_max + 1, beyond=True) ** exp
+            tail = nxt * nxt / (mass + nxt * nxt)
+        except DomainError:
+            tail = float("nan")
+    return weights / math.sqrt(mass), tail
+
+
+def _frozen_displacement_validity(spec, alpha, n_max):
+    worst = 0.0
+    f_sq = _f_value(spec, 0, beyond=True) ** 2
+    for n in range(0, n_max + 1):
+        f_sq_next = _f_value(spec, n + 1, beyond=True) ** 2
+        phi = (n + 1) * f_sq_next - n * f_sq - 1.0
+        worst = max(worst, abs(phi))
+        f_sq = f_sq_next
+    return alpha * alpha / 2.0 * worst
+
+
+FROZEN_SPECS = [
+    DeformationSpec("harmonic"),
+    *(DeformationSpec("poschl_teller", N=n) for n in (1, 3, 10, 37)),
+    *(DeformationSpec("morse", N=n) for n in (1, 4, 18, 50)),
+    *(DeformationSpec("morse", N=n, override_bound=True) for n in (3, 18)),
+    *(DeformationSpec("exciton", kappa=k) for k in (0.3, 0.2, 0.1, 0.07, 0.05)),
+    *(DeformationSpec("exciton", kappa=k, override_bound=True) for k in (0.3, 0.1, 0.05)),
+]
+
+
+def _spec_id(spec):
+    return "%s-%s%s" % (spec.family, spec.N or spec.kappa, "-wide" if spec.override_bound else "")
+
+
+@pytest.mark.parametrize("spec", FROZEN_SPECS, ids=_spec_id)
+def test_f_table_equals_the_frozen_per_level_evaluation(spec):
+    assert hard_nmax(spec) == _frozen_hard_nmax(spec)
+    top = _value_limit(spec)
+    if top is None:
+        top = 300
+    else:
+        with pytest.raises(DomainError, match="outside the %s validity window" % spec.family):
+            deformed_module._f_table(spec, top + 1)
+    assert deformed_module._f_table(spec, top) == [_f_value(spec, n) for n in range(top + 1)]
+    assert deformation_value(spec, top) == _f_value(spec, top)
+    # past the window, ``beyond`` ends the table at the formula window's edge
+    wide = deformed_module._f_table(spec, MAX_NMAX + 1, beyond=True)
+    window = _formula_nmax(spec)
+    if window is None:
+        assert wide == [1.0] * (MAX_NMAX + 2)
+    else:
+        assert wide == [_f_value(spec, n, beyond=True) for n in range(window + 1)]
+
+
+def test_exciton_stated_and_formula_windows_equal_the_frozen_walk():
+    for kappa in (0.3, 0.2, 0.1, 0.07, 0.05, 0.5, 0.577, 0.58, 0.9, 1.0, 1.3):
+        spec = DeformationSpec("exciton", kappa=kappa)
+        assert hard_nmax(spec) == _frozen_hard_nmax(spec)
+        wide = deformed_module._f_table(spec, MAX_NMAX, beyond=True)
+        assert len(wide) - 1 == _formula_nmax(spec)
+    # windows past the level cap: the stated one only
+    for kappa in (1e-3, 1e-6):
+        spec = DeformationSpec("exciton", kappa=kappa)
+        assert hard_nmax(spec) == _frozen_hard_nmax(spec)
+
+
+@pytest.mark.parametrize("spec", FROZEN_SPECS, ids=_spec_id)
+def test_kets_and_displacement_validity_equal_the_frozen_reference(spec):
+    top = _value_limit(spec) or 60
+    for n_max in sorted({0, 1, top // 2, top}):
+        truncated = replace(spec, n_max=n_max)
+        for alpha in (0.0, 0.65, 2.5):
+            for kind in ("A", "D", "coherent"):
+                ket = coherent_coefficients(truncated, alpha, kind)
+                coefficients, tail = _frozen_ket(truncated, alpha, kind)
+                assert np.array_equal(ket.coefficients, coefficients)
+                assert ket.truncation_tail == tail or math.isnan(tail) and math.isnan(
+                    ket.truncation_tail
+                )
+                signs = np.where(np.arange(n_max + 1) % 2 == 0, 1.0, -1.0)
+                assert overlap(truncated, alpha, kind) == float(np.sum(signs * coefficients**2))
+            try:
+                expected = _frozen_displacement_validity(truncated, alpha, n_max)
+            except DomainError:
+                with pytest.raises(DomainError, match="formula window"):
+                    displacement_validity(truncated, alpha)
+            else:
+                assert displacement_validity(truncated, alpha) == expected

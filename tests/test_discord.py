@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -397,6 +398,21 @@ def test_qd_numeric_refinement_cap():
 # best value of a poll-cap error, must equal the reference's bit for bit.
 
 
+@functools.lru_cache(maxsize=2)
+def _frozen_direction_grid(grid_n):
+    # _direction_grid as it stood with the lockstep search, flattened angles
+    # included; qd_numeric now keeps only the two axes
+    d = discord_module
+    thetas = np.linspace(0.0, math.pi / 2.0, grid_n)
+    phis = np.linspace(0.0, math.pi, grid_n, endpoint=False)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    tt, pp = tt.ravel(), pp.ravel()
+    n = d._directions(tt, pp)
+    for a in (tt, pp, n):
+        a.flags.writeable = False
+    return tt, pp, n, float(thetas[1] - thetas[0]), float(phis[1] - phis[0])
+
+
 def _lockstep_qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     d = discord_module
     t = resolve_tolerance(tol)
@@ -422,7 +438,7 @@ def _lockstep_qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=No
     s_total = -np.sum(eig * np.log2(eig, out=np.zeros_like(eig), where=eig > 0.0), axis=1)
     offset = d._branch_entropy(*(2.0 * corr[:, 0])) - s_total
 
-    tt, pp, grid, h_t0, h_p0 = d._direction_grid(grid_n)
+    tt, pp, grid, h_t0, h_p0 = _frozen_direction_grid(grid_n)
     best = np.empty(n)
     bt = np.empty(n)
     bp = np.empty(n)
@@ -574,6 +590,9 @@ def test_grid_phase_memory_is_bounded_at_the_grid_cap():
     rho = werner(0.2)
     try:
         first = qd_numeric(rho, grid_n=MAX_GRID_N)
+        # the cache holds the 3 x 10^6 Bloch components and the two axes only
+        held = sum(a.nbytes for a in discord_module._direction_grid(MAX_GRID_N))
+        assert held == 8 * (3 * MAX_GRID_N**2 + 2 * MAX_GRID_N), held
         tracemalloc.start()
         try:
             again = qd_numeric(rho, grid_n=MAX_GRID_N)

@@ -80,7 +80,7 @@ def test_hermitian_eigenvalues_random():
     for n in (2, 4):
         for _ in range(50):
             m = random_hermitian(rng, n)
-            vals = hermitian_eigenvalues(m).eigenvalues
+            vals = hermitian_eigenvalues(m)
             assert np.all(np.diff(vals) <= 0.0)  # descending
             ref = np.sort(np.linalg.eigvalsh(m))[::-1]
             assert np.max(np.abs(vals - ref)) < 1e-10
@@ -92,23 +92,30 @@ def test_hermitian_eigenvalues_clamp_and_warn():
     m = np.diag([1.0, -1e-12, 0.5, 0.25]).astype(complex)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        vals = hermitian_eigenvalues(m).eigenvalues
+        vals = hermitian_eigenvalues(m)
     assert any("clamping" in str(w.message) for w in caught)
     assert np.min(vals) == 0.0
     # a genuinely negative eigenvalue passes through untouched
     m = np.diag([1.0, -0.5]).astype(complex)
-    vals = hermitian_eigenvalues(m).eigenvalues
+    vals = hermitian_eigenvalues(m)
     assert vals[1] == -0.5
     with pytest.raises(DomainError):
         hermitian_eigenvalues(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
-def test_spectrum_check_density():
-    hermitian_eigenvalues(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)).check_density()
-    with pytest.raises(DomainError):
-        hermitian_eigenvalues(np.diag([0.6, 0.6]).astype(complex)).check_density()
-    with pytest.raises(DomainError):
-        hermitian_eigenvalues(np.diag([1.5, -0.5]).astype(complex)).check_density()
+def test_von_neumann_entropy_checks_the_spectrum():
+    # the checks of the folded-away Spectrum.check_density: a probability
+    # spectrum passes, a trace off 1 or an eigenvalue outside [0, 1] fails
+    assert von_neumann_entropy(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)) == 1.0
+    with pytest.raises(DomainError, match="trace"):
+        von_neumann_entropy(np.diag([0.6, 0.6]).astype(complex))
+    with pytest.raises(DomainError, match=r"outside \[0, 1\].*min=-0.5 max=1.5"):
+        von_neumann_entropy(np.diag([1.5, -0.5]).astype(complex))
+    # at unit trace, one bound broken past the tolerance and the other kept
+    with pytest.raises(DomainError, match="outside"):
+        von_neumann_entropy(np.diag([1.0, 0.0015, -0.0015, 0.0]), tol=1e-3)
+    with pytest.raises(DomainError, match="outside"), pytest.warns(UserWarning, match="clamping"):
+        von_neumann_entropy(np.diag([1.002, -0.0008, -0.0008, -0.0004]), tol=1e-3)
 
 
 def test_general_eigenvalues_diagonal():
@@ -125,7 +132,7 @@ def test_general_eigenvalues_match_hermitian():
     for _ in range(50):
         m = random_hermitian(rng, 4)
         general = np.sort(general_eigenvalues_4x4(m).real)[::-1]
-        hermitian = hermitian_eigenvalues(m).eigenvalues
+        hermitian = hermitian_eigenvalues(m)
         assert np.max(np.abs(general - hermitian)) < 1e-10
 
 

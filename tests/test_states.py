@@ -45,7 +45,7 @@ def test_exchange_matrix():
     assert np.array_equal(EXCHANGE.real, expected)
     assert np.allclose(EXCHANGE @ EXCHANGE, np.eye(4))
     # eigenvalues +1 (triplet) and -1 (singlet)
-    vals = hermitian_eigenvalues(EXCHANGE).eigenvalues
+    vals = hermitian_eigenvalues(EXCHANGE)
     assert np.allclose(vals, [1.0, 1.0, 1.0, -1.0])
     # partial trace of F/2 is the maximally mixed single qubit
     for side in ("A", "B"):
@@ -131,7 +131,7 @@ def test_werner_basic():
     rho = werner(-1.0)
     assert np.max(np.abs(rho - pure_density(PHI_MINUS))) < 1e-15
     assert np.max(np.abs(rho @ rho - rho)) < 1e-15
-    vals = hermitian_eigenvalues(werner(1.0 / 3.0)).eigenvalues
+    vals = hermitian_eigenvalues(werner(1.0 / 3.0))
     assert np.allclose(vals, [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 0.0], atol=1e-12)
     with pytest.raises(DomainError):
         werner(0.4)
@@ -158,7 +158,7 @@ def test_gwl_basic():
             vals = np.linalg.eigvalsh(gwl(psi, p))
             assert vals[0] > -1e-12
         # eigenvalues (1+3p)/4 and (1-p)/4 (x3)
-        vals = hermitian_eigenvalues(gwl(psi, 0.6)).eigenvalues
+        vals = hermitian_eigenvalues(gwl(psi, 0.6))
         assert abs(vals[0] - (1.0 + 3.0 * 0.6) / 4.0) < 1e-12
         assert np.max(np.abs(vals[1:] - (1.0 - 0.6) / 4.0)) < 1e-12
     with pytest.raises(DomainError):
@@ -199,7 +199,7 @@ def test_reduced_from_wmatrix():
         )
     # PSI2 reduced eigenvalues are (1 +- Delta0)/2 with Delta0 = sqrt(1 - (1/2)^2)
     delta0 = math.sqrt(1.0 - 0.25)
-    vals = hermitian_eigenvalues(reduced_from_wmatrix(PSI2, "A")).eigenvalues
+    vals = hermitian_eigenvalues(reduced_from_wmatrix(PSI2, "A"))
     assert np.max(np.abs(vals - [(1.0 + delta0) / 2.0, (1.0 - delta0) / 2.0])) < 1e-12
     for seed in range(10):
         psi = random_pure_state(seed=seed)
@@ -208,8 +208,8 @@ def test_reduced_from_wmatrix():
         assert np.max(np.abs(reduced_from_wmatrix(psi, "A") - partial_trace(rho, "B"))) < 1e-12
         assert np.max(np.abs(reduced_from_wmatrix(psi, "B") - partial_trace(rho, "A"))) < 1e-12
         # both reduced states share their spectrum
-        va = hermitian_eigenvalues(reduced_from_wmatrix(psi, "A")).eigenvalues
-        vb = hermitian_eigenvalues(reduced_from_wmatrix(psi, "B")).eigenvalues
+        va = hermitian_eigenvalues(reduced_from_wmatrix(psi, "A"))
+        vb = hermitian_eigenvalues(reduced_from_wmatrix(psi, "B"))
         assert np.max(np.abs(va - vb)) < 1e-12
     with pytest.raises(DomainError):
         reduced_from_wmatrix(PSI2, "C")
