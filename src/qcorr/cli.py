@@ -8,12 +8,13 @@ verify      Re-run a sweep with the numeric oracle and report the worst
 crossover   Bisect for the alpha (or p) where two quantities cross.
 state-info  Eigenvalues, concurrence and entropies of one state.
 
-CSV output is deterministic: header ``p,eof,qd_analytic`` (plus
-``qd_numeric,residual,concurrence`` when the oracle runs), one row per
-grid point in ascending p, floats printed with round-trip precision,
-LF line endings, UTF-8.
+A sweep is a table of named float columns over the p grid:
+``p,eof,qd_analytic``, plus ``qd_numeric,residual,concurrence`` with the
+oracle. Its CSV is deterministic: the names as header, one row per grid
+point in ascending p, round-trip float precision, LF line endings, UTF-8.
 
-Exit codes: 0 success, 1 usage or domain error, 2 verification failure,
+Exit codes: 0 success, 1 usage or domain error (an unreadable --wmatrix
+or unwritable --out file is a usage error), 2 verification failure,
 3 numeric failure (including a bracket without sign change).
 """
 
@@ -23,11 +24,18 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .deformed import DeformationSpec, QuasiBellSpec, overlap, quasi_bell_wmatrix, select_nmax
+from .deformed import (
+    FAMILIES,
+    DeformationSpec,
+    QuasiBellSpec,
+    overlap,
+    quasi_bell_wmatrix,
+    select_nmax,
+)
 from .discord import qd_gwl, qd_numeric, qd_werner
 from .entanglement import (
     concurrence_gwl_analytic,
@@ -55,13 +63,6 @@ DEFAULT_P_STEP = 0.01
 # Largest p grid a command may ask for; checked before the grid is built.
 MAX_GRID_POINTS = 1_000_000
 
-_FAMILY_FLAG = {
-    "harmonic": "harmonic",
-    "poschl-teller": "poschl_teller",
-    "exciton": "exciton",
-    "morse": "morse",
-}
-
 
 class UsageError(Exception):
     """Bad command line; maps to exit code 1."""
@@ -70,33 +71,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass
-class SweepConfig:
-    """Everything one sweep needs: the state, the grid, the outputs."""
-
-    kind: str
-    psi: WMatrix | None
-    p_start: float
-    p_stop: float
-    p_step: float
-    oracle: bool
-    grid_n: int
-    out: str | None
-    tol: float | None
-
-
-@dataclass
-class CurveRow:
-    """One CSV row of a sweep."""
-
-    p: float
-    eof: float
-    qd_analytic: float
-    qd_numeric: float | None = None
-    residual: float | None = None
-    concurrence: float | None = None
 
 
 def p_grid(start, stop, step):
@@ -119,47 +93,51 @@ def p_grid(start, stop, step):
     return [start + i * step for i in range(int(math.floor(last)) + 1)]
 
 
-def compute_rows(cfg):
-    """Evaluate the sweep; qd_numeric/residual only when the oracle runs.
+def _p_range(args, kind):
+    """The --p-start/--p-stop ends, defaulting to the kind's range, and their grid."""
+    lo, hi = WERNER_RANGE if kind == "werner" else GWL_RANGE
+    start = lo if args.p_start is None else args.p_start
+    stop = hi if args.p_stop is None else args.p_stop
+    return start, stop, p_grid(start, stop, args.p_step)
+
+
+def _closed_forms(kind, psi, p, tol):
+    """(concurrence, qd) of the state at p, a scalar or a whole grid."""
+    if kind == "werner":
+        return concurrence_werner(p, tol), qd_werner(p, tol)
+    c_pure = concurrence_pure(psi)
+    return concurrence_gwl_analytic(c_pure, p, tol), qd_gwl(c_pure, p, tol)
+
+
+def compute_rows(args, oracle, tol):
+    """The sweep's CSV columns by name, in header order, as lists of floats.
 
     The closed forms run once on the whole p grid, and the oracle once,
-    on the stack of every row's density matrix.
+    on the stack of every row's density matrix. Only the oracle adds the
+    qd_numeric, residual and concurrence columns.
     """
-    ps = p_grid(cfg.p_start, cfg.p_stop, cfg.p_step)
-    tol = cfg.tol
-    if cfg.kind == "werner":
-        conc, qd = concurrence_werner(ps, tol), qd_werner(ps, tol)
-    else:
-        c_pure = concurrence_pure(cfg.psi)
-        conc, qd = concurrence_gwl_analytic(c_pure, ps, tol), qd_gwl(c_pure, ps, tol)
+    kind, psi, _ = build_state(args, tol)
+    ps = _p_range(args, kind)[2]
+    conc, qd = _closed_forms(kind, psi, ps, tol)
     eof = eof_from_concurrence(conc, tol)
-    rows = [
-        CurveRow(p, e, q, None, None, k)
-        for p, e, q, k in zip(ps, eof.tolist(), qd.tolist(), conc.tolist())
-    ]
-    if cfg.oracle:
-        rhos = [werner(p, tol) if cfg.kind == "werner" else gwl(cfg.psi, p, tol) for p in ps]
-        for row, qn in zip(rows, qd_numeric(rhos, grid_n=cfg.grid_n, tol=tol).tolist()):
-            qd = row.qd_analytic
-            row.qd_numeric = qn
-            row.residual = abs(qd - qn) / max(abs(qd), RESIDUAL_FLOOR)
-    return rows
+    columns = {"p": ps, "eof": eof.tolist(), "qd_analytic": qd.tolist()}
+    if oracle:
+        rhos = [werner(p, tol) if kind == "werner" else gwl(psi, p, tol) for p in ps]
+        qn = qd_numeric(rhos, grid_n=args.grid, tol=tol)
+        columns["qd_numeric"] = qn.tolist()
+        columns["residual"] = (np.abs(qd - qn) / np.maximum(np.abs(qd), RESIDUAL_FLOOR)).tolist()
+        columns["concurrence"] = conc.tolist()
+    return columns
 
 
 def _fmt(x):
     return repr(float(x))
 
 
-def csv_text(rows, oracle):
-    header = "p,eof,qd_analytic"
-    if oracle:
-        header += ",qd_numeric,residual,concurrence"
-    lines = [header]
-    for r in rows:
-        cells = [_fmt(r.p), _fmt(r.eof), _fmt(r.qd_analytic)]
-        if oracle:
-            cells += [_fmt(r.qd_numeric), _fmt(r.residual), _fmt(r.concurrence)]
-        lines.append(",".join(cells))
+def csv_text(columns):
+    """CSV of named float columns: the names as header, one line per row."""
+    lines = [",".join(columns)]
+    lines += (",".join(map(repr, row)) for row in zip(*columns.values()))
     return "\n".join(lines) + "\n"
 
 
@@ -179,7 +157,7 @@ def _deformation_spec(args):
     if args.family is None:
         raise UsageError("--family is required for deformed states")
     spec = DeformationSpec(
-        family=_FAMILY_FLAG[args.family], N=args.N, kappa=args.kappa, n_max=args.nmax
+        family=args.family.replace("-", "_"), N=args.N, kappa=args.kappa, n_max=args.nmax
     )
     if spec.n_max is None:
         if args.alpha is None:
@@ -207,44 +185,30 @@ def build_state(args, tol):
         if sum(given) != 1:
             raise UsageError("gwl needs exactly one of --wmatrix or --concurrence")
         if args.wmatrix is not None:
+            try:
+                with open(args.wmatrix, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                reason = getattr(exc, "strerror", None) or exc
+                raise UsageError("cannot read --wmatrix %r: %s" % (args.wmatrix, reason)) from None
             # only a user's file meets --tol; states built here use the default
-            with open(args.wmatrix, "r", encoding="utf-8") as fh:
-                return "gwl", WMatrix.from_text(fh.read(), tol), None
+            return "gwl", WMatrix.from_text(text, tol), None
         return "gwl", _diagonal_wmatrix(args.concurrence), None
-    if args.kind == "deformed":
-        if args.alpha is None:
-            raise UsageError("--alpha is required for deformed states")
-        spec = _deformation_spec(args)
-        return "deformed", _deformed_psi(spec, args), spec
-    raise UsageError("unknown kind %r" % (args.kind,))
-
-
-def _default_range(kind):
-    return WERNER_RANGE if kind == "werner" else GWL_RANGE
-
-
-def _sweep_config(args, tol):
-    kind, psi, _ = build_state(args, tol)
-    lo, hi = _default_range(kind)
-    return SweepConfig(
-        kind=kind,
-        psi=psi,
-        p_start=lo if args.p_start is None else args.p_start,
-        p_stop=hi if args.p_stop is None else args.p_stop,
-        p_step=args.p_step,
-        oracle=args.oracle,
-        grid_n=args.grid,
-        out=getattr(args, "out", None),
-        tol=tol,
-    )
+    # the parser admits no other kind than deformed
+    if args.alpha is None:
+        raise UsageError("--alpha is required for deformed states")
+    spec = _deformation_spec(args)
+    return "deformed", _deformed_psi(spec, args), spec
 
 
 def cmd_sweep(args):
-    cfg = _sweep_config(args, args.tol)
-    text = csv_text(compute_rows(cfg), cfg.oracle)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    text = csv_text(compute_rows(args, args.oracle, args.tol))
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError("cannot write --out %r: %s" % (args.out, exc.strerror or exc)) from None
     else:
         sys.stdout.write(text)
     return 0
@@ -252,16 +216,16 @@ def cmd_sweep(args):
 
 def cmd_verify(args):
     threshold = DEFAULT_VERIFY_THRESHOLD if args.tol is None else args.tol
-    args.oracle = True
-    cfg = _sweep_config(args, None)
-    rows = compute_rows(cfg)
-    worst = max(rows, key=lambda r: r.residual)
+    columns = compute_rows(args, oracle=True, tol=None)
+    residual = columns["residual"]
+    worst = max(residual)
     print(
         "verify: kind=%s points=%d grid=%d threshold=%g"
-        % (cfg.kind, len(rows), cfg.grid_n, threshold)
+        % (args.kind, len(residual), args.grid, threshold)
     )
-    print("  max relative residual %.6e at p=%r" % (worst.residual, worst.p))
-    if worst.residual > threshold:
+    # index() names the first row with the largest residual
+    print("  max relative residual %.6e at p=%r" % (worst, columns["p"][residual.index(worst)]))
+    if worst > threshold:
         print("FAIL")
         return 2
     print("PASS")
@@ -301,10 +265,7 @@ def _eof_minus_qd(c_pure, p):
 
 def cmd_crossover(args):
     root_tol = DEFAULT_ROOT_TOL if args.tol is None else args.tol
-    lo, hi = GWL_RANGE
-    start = lo if args.p_start is None else args.p_start
-    stop = hi if args.p_stop is None else args.p_stop
-    ps = p_grid(start, stop, args.p_step)
+    start, stop, ps = _p_range(args, "gwl")
 
     if args.functional == "p-crossing":
         if args.pair != "eof-qd":
@@ -347,15 +308,13 @@ def cmd_crossover(args):
             return float(np.max(_eof_minus_qd(concurrence_at(alpha), ps)))
 
         label = "max over p of EoF - QD"
-    elif args.pair == "coherent-vs-a":
+    else:  # coherent-vs-a, the parser's only other pair
 
         def g(alpha):
             gap = qd_gwl(concurrence_at(alpha, "C"), ps) - qd_gwl(concurrence_at(alpha, "A"), ps)
             return float(np.max(gap))
 
         label = "max over p of QD(coherent) - QD(A)"
-    else:
-        raise UsageError("unknown pair %r" % (args.pair,))
 
     root = _bisect(g, args.alpha_lo, args.alpha_hi, root_tol, label)
     print("crossover pair=%s functional=alpha-max-p alpha=%r" % (args.pair, root))
@@ -372,16 +331,10 @@ def cmd_state_info(args):
     p = args.p
     if p is None:
         raise UsageError("state-info needs --p")
-    if kind == "werner":
-        rho = werner(p, tol)
-        conc = concurrence_werner(p, tol)
-        qd = qd_werner(p, tol)
-    else:
-        rho = gwl(psi, p, tol)
-        c_pure = concurrence_pure(psi)
-        conc = concurrence_gwl_analytic(c_pure, p, tol)
-        qd = qd_gwl(c_pure, p, tol)
-        print("pure-state concurrence: %s" % _fmt(c_pure))
+    rho = werner(p, tol) if kind == "werner" else gwl(psi, p, tol)
+    conc, qd = _closed_forms(kind, psi, p, tol)
+    if kind != "werner":
+        print("pure-state concurrence: %s" % _fmt(concurrence_pure(psi)))
         if kind == "deformed":
             print("overlap s: %s" % _fmt(overlap(spec, args.alpha, args.deformed_kind)))
     eof = eof_from_concurrence(conc, tol)
@@ -414,7 +367,8 @@ def _add_state_flags(sp):
         type=float,
         help="build the canonical diagonal pure state with this concurrence",
     )
-    sp.add_argument("--family", choices=tuple(_FAMILY_FLAG))
+    # the library's family names, spelt with "-" for "_"
+    sp.add_argument("--family", choices=tuple(f.replace("_", "-") for f in FAMILIES))
     sp.add_argument("--N", type=int, help="trap depth / bound-state count")
     sp.add_argument("--kappa", type=float, help="Lamb-Dicke-like parameter")
     sp.add_argument("--alpha", type=float, help="coherent amplitude (non-negative)")

@@ -94,6 +94,7 @@ class DeformationSpec:
             raise DomainError("unknown family %r, expected one of %r" % (self.family, FAMILIES))
         if self.family in ("poschl_teller", "morse"):
             _integer(self.N, "%s N" % self.family, 1)
+            hard_nmax(self)  # an N too large for a float window fails here
         if self.family == "exciton" and not 0.0 < float(self.kappa or 0.0) < math.inf:
             raise DomainError("exciton needs a finite kappa > 0, got %r" % (self.kappa,))
         if self.n_max is not None:
@@ -101,17 +102,29 @@ class DeformationSpec:
 
 
 def hard_nmax(spec):
-    """Largest n inside the family's stated validity window (None = unbounded)."""
+    """Largest n inside the family's stated validity window (None = unbounded).
+
+    A window too wide for a float raises DomainError for an N family. For
+    the exciton it means kappa^2 underflowed, so f(n) = 1 to working
+    precision, and the window saturates above MAX_NMAX, the cap on levels.
+    """
     if spec.family == "harmonic":
         return None
-    if spec.family == "poschl_teller":
-        return math.floor(math.sqrt(spec.N * spec.N + 1.0))
-    # the exciton and morse windows are strict, n < x
-    if spec.family == "exciton":
-        x = (1.0 / (spec.kappa * spec.kappa) - 1.0) / 2.0
-    else:
-        x = math.sqrt(2.0 * spec.N + 1.0)
-    return max(math.ceil(x) - 1, 0)
+    try:
+        if spec.family == "poschl_teller":
+            return math.floor(math.sqrt(spec.N * spec.N + 1.0))
+        # the exciton and morse windows are strict, n < x
+        if spec.family == "exciton":
+            x = (1.0 / (spec.kappa * spec.kappa) - 1.0) / 2.0
+        else:
+            x = math.sqrt(2.0 * spec.N + 1.0)
+        return max(math.ceil(x) - 1, 0)
+    except (OverflowError, ZeroDivisionError):
+        if spec.family == "exciton":
+            return MAX_NMAX + 1
+        raise DomainError(
+            "%s N = %r leaves a validity window too wide for a float" % (spec.family, spec.N)
+        ) from None
 
 
 def _f_table(spec, top, beyond=False):

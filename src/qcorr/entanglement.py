@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    DomainError,
     NumericError,
     binary_entropy,
     check_range,
@@ -68,9 +69,10 @@ def concurrence_pure(psi):
 def concurrence_mixed(rho, tol=None):
     """Wootters concurrence of an arbitrary two-qubit density matrix.
 
-    Eigenvalues of rho rho~ are taken from the general (non-symmetric)
-    4x4 solver; imaginary parts beyond tolerance raise NumericError,
-    real parts in [-tol, 0) are clipped to zero.
+    A trace off 1 beyond tolerance raises DomainError. Eigenvalues of
+    rho rho~ are taken from the general (non-symmetric) 4x4 solver;
+    imaginary parts beyond tolerance raise NumericError, real parts in
+    [-tol, 0) are clipped to zero.
 
     The returned sqrt-eigenvalues come from an equivalent but better
     conditioned evaluation: with X the matrix of subnormalized
@@ -83,6 +85,9 @@ def concurrence_mixed(rho, tol=None):
     """
     t = resolve_tolerance(tol)
     rho = np.asarray(rho, dtype=complex)
+    tr = float(np.real(np.trace(rho)))
+    if not abs(tr - 1.0) <= t:
+        raise DomainError("density matrix trace %g differs from 1 beyond tolerance" % tr)
     eigs = general_eigenvalues_4x4(rho @ spin_flip(rho))
     worst_imag = float(np.max(np.abs(eigs.imag)))
     if worst_imag > t:

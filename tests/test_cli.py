@@ -11,19 +11,24 @@ from qcorr import (
     DomainError,
     NumericError,
     WMatrix,
+    concurrence_gwl_analytic,
     concurrence_pure,
+    concurrence_werner,
     eof_from_concurrence,
     eof_werner,
+    gwl,
     overlap,
+    qd_gwl,
     qd_gwl_analytic,
+    qd_numeric,
     qd_werner,
     werner,
 )
 from qcorr import cli
 from qcorr import deformed as deformed_module
 from qcorr import discord as discord_module
-from qcorr.cli import CurveRow, UsageError, _bisect, _diagonal_wmatrix, csv_text, main, p_grid
-from qcorr.deformed import MAX_NMAX
+from qcorr.cli import UsageError, _bisect, _diagonal_wmatrix, csv_text, main, p_grid
+from qcorr.deformed import MAX_NMAX, deformation_value, select_nmax
 
 
 def test_p_grid():
@@ -64,17 +69,18 @@ def test_oracle_grid_flag_is_capped(monkeypatch, capsys):
 
 
 def test_csv_text():
-    text = csv_text([CurveRow(p=0.5, eof=0.25, qd_analytic=0.125)], oracle=False)
+    text = csv_text({"p": [0.5], "eof": [0.25], "qd_analytic": [0.125]})
     assert text == "p,eof,qd_analytic\n0.5,0.25,0.125\n"
-    rows = [CurveRow(p=0.1, eof=0.2, qd_analytic=0.3, qd_numeric=0.4, residual=0.5, concurrence=0.6)]
-    text = csv_text(rows, oracle=True)
+    columns = {"p": [0.1], "eof": [0.2], "qd_analytic": [0.3]}
+    columns.update(qd_numeric=[0.4], residual=[0.5], concurrence=[0.6])
+    text = csv_text(columns)
     lines = text.splitlines()
     assert lines[0] == "p,eof,qd_analytic,qd_numeric,residual,concurrence"
     assert lines[1] == "0.1,0.2,0.3,0.4,0.5,0.6"
     assert text.endswith("\n") and "\r" not in text
     # floats print with round-trip precision
     third = 1.0 / 3.0
-    text = csv_text([CurveRow(p=third, eof=third, qd_analytic=third)], oracle=False)
+    text = csv_text({"p": [third], "eof": [third], "qd_analytic": [third]})
     assert float(text.splitlines()[1].split(",")[0]) == third
 
 
@@ -139,6 +145,89 @@ def test_sweep_wmatrix_file_with_oracle(tmp_path):
         cells = [float(tok) for tok in line.split(",")]
         assert cells[4] < 1e-8  # relative residual against the oracle
         assert abs(cells[1] - eof_from_concurrence(cells[5])) < 1e-12
+
+
+@pytest.mark.parametrize("source", ["werner", "wmatrix"])
+def test_sweep_oracle_columns_equal_the_library_calls(source, tmp_path, capsys):
+    # every cell, exactly: the closed forms on the grid, the oracle state by
+    # state, and the residual from those two; verify names the p of the
+    # first row with the largest residual
+    if source == "werner":
+        state = ["--kind", "werner", "--p-start", "-1", "--p-stop", "0.3", "--p-step", "0.1"]
+        rho_at = werner
+
+        def closed_forms(ps):
+            return concurrence_werner(ps), qd_werner(ps)
+
+    else:
+        path = tmp_path / "psi.txt"
+        psi = WMatrix(np.array([[0.3, 0.5j], [-0.4, 0.2 + 0.6j]]) / math.sqrt(0.9))
+        path.write_text(psi.to_text(), encoding="utf-8")
+        psi = WMatrix.from_text(path.read_text(encoding="utf-8"))
+        c_pure = concurrence_pure(psi)
+        state = ["--kind", "gwl", "--wmatrix", str(path), "--p-step", "0.1"]
+
+        def rho_at(p):
+            return gwl(psi, p)
+
+        def closed_forms(ps):
+            return concurrence_gwl_analytic(c_pure, ps), qd_gwl(c_pure, ps)
+
+    assert main(["sweep", "--oracle", "--grid", "16"] + state) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "p,eof,qd_analytic,qd_numeric,residual,concurrence"
+    columns = list(zip(*([float(tok) for tok in line.split(",")] for line in lines[1:])))
+    ps, eof, qa, qn, residual, conc = (list(column) for column in columns)
+    assert len(ps) > 10
+    closed_conc, closed_qd = closed_forms(ps)
+    assert conc == closed_conc.tolist()
+    assert qa == closed_qd.tolist()
+    assert eof == eof_from_concurrence(closed_conc).tolist()
+    for p, a, n, r in zip(ps, qa, qn, residual):
+        assert n == qd_numeric(rho_at(p), grid_n=16), p
+        assert r == abs(a - n) / max(abs(a), cli.RESIDUAL_FLOOR), p
+    worst = max(residual)
+    rc = main(["verify", "--grid", "16"] + state)
+    assert rc == (2 if worst > cli.DEFAULT_VERIFY_THRESHOLD else 0)
+    out = capsys.readouterr().out
+    assert "max relative residual %.6e at p=%r\n" % (worst, ps[residual.index(worst)]) in out
+
+
+def test_unreadable_and_unwritable_files_exit_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.txt").write_bytes(b"\xff 0 0 1\n")
+    cases = [
+        (["sweep", "--kind", "gwl", "--wmatrix", "missing.txt"], "cannot read --wmatrix 'missing.txt': No such file"),
+        (["state-info", "--kind", "gwl", "--wmatrix", "latin1.txt", "--p", "0.5"], "cannot read --wmatrix 'latin1.txt': 'utf-8' codec"),
+        (["sweep", "--kind", "gwl", "--wmatrix", "."], "cannot read --wmatrix '.'"),
+        (["sweep", "--kind", "werner", "--out", "no-dir/w.csv"], "cannot write --out 'no-dir/w.csv': No such file"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: " + message), captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["latin1.txt"]
+
+
+def test_deformed_windows_too_wide_for_a_float_do_not_crash(capsys):
+    # kappa^2 underflows to 0 (1e-200) or to a subnormal whose window
+    # overflows (1e-160): f(n) = 1 to working precision, so the A state is
+    # the harmonic one; an N whose window a float cannot hold is a domain error
+    argv = ["state-info", "--kind", "deformed", "--alpha", "0.5", "--p", "0.5", "--deformed-kind", "A"]
+    for kappa in ("1e-200", "1e-160"):
+        spec = DeformationSpec("exciton", kappa=float(kappa))
+        assert deformation_value(spec, MAX_NMAX) == 1.0
+        n_max = select_nmax(spec, 0.5, "A")
+        assert main(argv + ["--family", "exciton", "--kappa", kappa]) == 0, kappa
+        exciton = capsys.readouterr().out
+        assert main(argv + ["--family", "harmonic", "--nmax", str(n_max)]) == 0
+        assert capsys.readouterr().out == exciton, kappa
+    for family in ("poschl-teller", "morse"):
+        assert main(argv + ["--family", family, "--N", "1" + "0" * 400]) == 1, family
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: %s N = 1000" % family.replace("-", "_")), err
+        assert "too wide for a float" in err
 
 
 def test_gwl_needs_exactly_one_source(capsys):

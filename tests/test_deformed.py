@@ -62,6 +62,16 @@ def test_hard_nmax():
     assert hard_nmax(DeformationSpec("morse", N=4)) == 2
 
 
+def test_hard_nmax_of_windows_too_wide_for_a_float():
+    # the exciton's saturates past MAX_NMAX; an N family's is a domain
+    # error, raised when the spec is made, before any f table
+    assert hard_nmax(DeformationSpec("exciton", kappa=1e-200)) == MAX_NMAX + 1
+    assert hard_nmax(DeformationSpec("exciton", kappa=1e-160)) == MAX_NMAX + 1
+    for family in ("poschl_teller", "morse"):
+        with pytest.raises(DomainError, match="too wide for a float"):
+            DeformationSpec(family, N=10**400, override_bound=True, n_max=5)
+
+
 def test_deformation_values():
     assert deformation_value(HARMONIC, 0) == 1.0
     assert deformation_value(HARMONIC, 57) == 1.0

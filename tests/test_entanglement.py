@@ -76,6 +76,18 @@ def test_concurrence_mixed_werner_and_noise():
     assert concurrence_mixed(werner(-1.0 / 3.0)).value < 1e-12
 
 
+
+def test_concurrence_mixed_rejects_a_trace_off_one():
+    # 2 rho of a Werner state once read as a concurrence of 1.70
+    with pytest.raises(DomainError, match="density matrix trace 2 differs from 1"):
+        concurrence_mixed(2.0 * werner(-0.9))
+    with pytest.raises(DomainError, match="trace 0.999 differs"):
+        concurrence_mixed(0.999 * werner(-0.9))
+    # within the tolerance the value is the normalized state's
+    assert abs(concurrence_mixed((1.0 + 1e-12) * werner(-0.9)).value - 0.85) < 1e-10
+    with pytest.raises(DomainError):
+        concurrence_mixed((1.0 + 1e-12) * werner(-0.9), tol=1e-13)
+
 def test_concurrence_mixed_rejects_bad_spectra():
     # not density matrices: rho rho~ grows complex (resp. negative)
     # eigenvalues and the pipeline refuses both
