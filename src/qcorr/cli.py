@@ -265,8 +265,6 @@ def _eof_minus_qd(c_pure, p):
 
 def cmd_crossover(args):
     root_tol = DEFAULT_ROOT_TOL if args.tol is None else args.tol
-    start, stop, ps = _p_range(args, "gwl")
-
     if args.functional == "p-crossing":
         if args.pair != "eof-qd":
             raise UsageError("--functional p-crossing only applies to --pair eof-qd")
@@ -293,6 +291,8 @@ def cmd_crossover(args):
         )
         return 0
 
+    # only alpha-max-p reads the --p-* grid; p-crossing scans its own points
+    start, stop, ps = _p_range(args, "gwl")
     if not args.alpha_lo < args.alpha_hi:
         raise UsageError(
             "--alpha-lo %r must be below --alpha-hi %r" % (args.alpha_lo, args.alpha_hi)
@@ -328,11 +328,8 @@ def cmd_crossover(args):
 def cmd_state_info(args):
     tol = args.tol
     kind, psi, spec = build_state(args, tol)
-    p = args.p
-    if p is None:
-        raise UsageError("state-info needs --p")
-    rho = werner(p, tol) if kind == "werner" else gwl(psi, p, tol)
-    conc, qd = _closed_forms(kind, psi, p, tol)
+    rho = werner(args.p, tol) if kind == "werner" else gwl(psi, args.p, tol)
+    conc, qd = _closed_forms(kind, psi, args.p, tol)
     if kind != "werner":
         print("pure-state concurrence: %s" % _fmt(concurrence_pure(psi)))
         if kind == "deformed":
@@ -426,7 +423,7 @@ def build_parser():
 
     sp = sub.add_parser("state-info", help="print eigenvalues, concurrence, entropies")
     _add_state_flags(sp)
-    sp.add_argument("--p", type=float, help="mixing parameter")
+    sp.add_argument("--p", type=float, required=True, help="mixing parameter")
     sp.set_defaults(func=cmd_state_info)
 
     return parser

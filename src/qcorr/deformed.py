@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .discord import qd_gwl
-from .linalg import DEFAULT_TOLERANCE, DomainError, resolve_tolerance
+from .linalg import DEFAULT_TOLERANCE, DomainError, _integer, resolve_tolerance
 from .states import WMatrix
 
 FAMILIES = ("harmonic", "poschl_teller", "exciton", "morse")
@@ -62,16 +62,11 @@ def _canonical_kind(kind):
         raise DomainError("kind must be one of A, D, coherent; got %r" % (kind,)) from None
 
 
-def _integer(value, what, lo, hi=math.inf):
-    # the one check of N and of truncation levels: NaN, infinities and
-    # fractions are domain errors, never truncated
-    try:
-        whole = int(value) == value
-    except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not (whole and lo <= value <= hi):
-        raise DomainError("%s must be an integer in [%d, %s], got %r" % (what, lo, hi, value))
-    return int(value)
+def _amplitude(alpha):
+    alpha = float(alpha)
+    if not 0.0 <= alpha < math.inf:
+        raise DomainError("alpha must be finite and non-negative, got %r" % alpha)
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -208,9 +203,7 @@ def coherent_coefficients(spec, alpha, kind):
 
     alpha must be a finite, non-negative real; spec.n_max must be set.
     """
-    alpha = float(alpha)
-    if not 0.0 <= alpha < math.inf:
-        raise DomainError("alpha must be finite and non-negative, got %r" % alpha)
+    alpha = _amplitude(alpha)
     kind = _canonical_kind(kind)
     if spec.n_max is None:
         raise DomainError("spec.n_max must be set to build coefficients")
@@ -253,9 +246,7 @@ def displacement_validity(spec, alpha, n_max=None):
     past n_max, which is allowed here even when it exceeds the stated
     window (this function is the tool that quantifies that abuse).
     """
-    alpha = float(alpha)
-    if not 0.0 <= alpha < math.inf:
-        raise DomainError("alpha must be finite and non-negative, got %r" % alpha)
+    alpha = _amplitude(alpha)
     n_max = spec.n_max if n_max is None else n_max
     if n_max is None:
         raise DomainError("n_max must be given (argument or spec)")
@@ -323,7 +314,7 @@ def concurrence_quasi_bell(qb):
     return (1.0 - s * s) / (1.0 + s * s)
 
 
-def select_nmax(spec, alpha, kind, tol=1e-10):
+def select_nmax(spec, alpha, kind, tol=None):
     """Smallest truncation level whose quantum discord has converged.
 
     Compares the discord of the quasi-Bell state at the mixing parameter
@@ -332,8 +323,9 @@ def select_nmax(spec, alpha, kind, tol=1e-10):
     one level below the validity window or MAX_NMAX, whichever is lower
     (so n + 1 stays evaluable); the harmonic family caps at HARMONIC_CAP. When the difference never
     drops below tol the cap is returned with a warning. spec.n_max is
-    ignored.
+    ignored; tol None means DEFAULT_TOLERANCE.
     """
+    tol = resolve_tolerance(tol)
     limit = hard_nmax(spec)
     cap = HARMONIC_CAP if limit is None else min(limit, MAX_NMAX) - 1
     if cap < 1:

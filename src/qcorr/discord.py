@@ -95,6 +95,10 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _check_densities,
+    _integer,
+    _side,
+    _square,
     binary_entropy,
     check_range,
     float_or_array,
@@ -213,11 +217,9 @@ def measurement_projector(direction, m):
 def lifted_projector(direction, m, partition="A"):
     """The projector acting on the full pair: Pi (x) I for side A."""
     pi = measurement_projector(direction, m)
-    if partition == "A":
+    if _side(partition) == "A":
         return kronecker(pi, IDENTITY_2)
-    if partition == "B":
-        return kronecker(IDENTITY_2, pi)
-    raise DomainError("partition must be 'A' or 'B', got %r" % (partition,))
+    return kronecker(IDENTITY_2, pi)
 
 
 def luders_update(rho, direction, m, partition="A", tol=None):
@@ -226,10 +228,11 @@ def luders_update(rho, direction, m, partition="A", tol=None):
     The conditional state is the reduced state of the unmeasured side
     after the Lueders update. A branch whose probability is within
     tolerance of zero is flagged empty (conditional state None, mixing
-    weight nan) so callers exclude it from entropy averages.
+    weight nan) so callers exclude it from entropy averages. ``rho``
+    must be a 4x4 density matrix: Hermitian, unit trace within tolerance.
     """
     t = resolve_tolerance(tol)
-    rho = np.asarray(rho, dtype=complex)
+    rho = _check_densities(_square(rho, 4), t)
     proj = lifted_projector(direction, m, partition)
     prob = float(np.real(np.trace(proj @ rho)))
     if prob <= t:
@@ -458,20 +461,6 @@ def _correlation_matrices(stack):
     return np.real(pauli(per_block.transpose(1, 2, 0, 3)))
 
 
-def _check_densities(stack, t, single):
-    # every matrix is checked before any oracle work starts
-    herm = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=(1, 2))
-    traces = np.real(np.trace(stack, axis1=1, axis2=2))
-    for k in range(len(stack)):
-        what = "density matrix" if single else "density matrix %d" % k
-        if not herm[k] <= t:
-            raise DomainError("%s is not Hermitian within tolerance" % what)
-        if not abs(traces[k] - 1.0) <= t:
-            raise DomainError(
-                "%s trace %g differs from 1 beyond tolerance" % (what, traces[k])
-            )
-
-
 def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     """Brute-force quantum discord by measurement minimization.
 
@@ -500,7 +489,7 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     grid_n : int
         Polar grid count, from 8 to ``MAX_GRID_N`` (1000).
     refine_iters : int
-        Cap on each state's refinement polls. If a state has not
+        Cap on each state's refinement polls, at least 0. If a state has not
         converged after that many, NumericError is raised for the
         lowest-index such state, with its index attached as ``index``
         and the best value found as ``best_value``.
@@ -510,9 +499,8 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     float for a single matrix, else an array of K floats.
     """
     t = resolve_tolerance(tol)
-    grid_n = int(grid_n)
-    if not 8 <= grid_n <= MAX_GRID_N:
-        raise DomainError("grid_n must be in [8, %d], got %d" % (MAX_GRID_N, grid_n))
+    grid_n = _integer(grid_n, "grid_n", 8, MAX_GRID_N)
+    refine_iters = _integer(refine_iters, "refine_iters", 0)
     rho = np.asarray(rho, dtype=complex)
     single = rho.ndim == 2
     stack = rho[None] if single else rho
@@ -520,8 +508,7 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
         raise DomainError(
             "expected a 4x4 density matrix or a stack of them, got shape %r" % (rho.shape,)
         )
-    if partition not in ("A", "B"):
-        raise DomainError("partition must be 'A' or 'B', got %r" % (partition,))
+    _side(partition)
     _check_densities(stack, t, single)
     n = len(stack)
     # corr[i, j, k] is R_ij of state k with the measured side first; the

@@ -32,8 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    DomainError,
     NumericError,
+    _check_densities,
+    _square,
     binary_entropy,
     check_range,
     float_or_array,
@@ -69,7 +70,8 @@ def concurrence_pure(psi):
 def concurrence_mixed(rho, tol=None):
     """Wootters concurrence of an arbitrary two-qubit density matrix.
 
-    A trace off 1 beyond tolerance raises DomainError. Eigenvalues of
+    A matrix that is not 4x4, not Hermitian or whose trace is off 1
+    beyond tolerance raises DomainError. Eigenvalues of
     rho rho~ are taken from the general (non-symmetric) 4x4 solver;
     imaginary parts beyond tolerance raise NumericError, real parts in
     [-tol, 0) are clipped to zero.
@@ -84,10 +86,7 @@ def concurrence_mixed(rho, tol=None):
     such amplification.
     """
     t = resolve_tolerance(tol)
-    rho = np.asarray(rho, dtype=complex)
-    tr = float(np.real(np.trace(rho)))
-    if not abs(tr - 1.0) <= t:
-        raise DomainError("density matrix trace %g differs from 1 beyond tolerance" % tr)
+    rho = _check_densities(_square(rho, 4), t)
     eigs = general_eigenvalues_4x4(rho @ spin_flip(rho))
     worst_imag = float(np.max(np.abs(eigs.imag)))
     if worst_imag > t:

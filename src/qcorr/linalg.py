@@ -5,6 +5,11 @@ two-qubit basis is ordered |ij> = |i>_A (x) |j>_B with row-major index
 2i + j; every module in the package relies on that convention. All
 entropies are in bits (log base 2).
 
+Every input check has its one home here: ``check_range`` and the private
+``_square`` (shape), ``_side``, ``_integer`` and ``_check_densities``
+(Hermitian, unit trace). A bad matrix, side or integer argument raises
+DomainError with the same message in every module.
+
 Every hermiticity, trace, positivity and range check takes ``tol``;
 None means DEFAULT_TOLERANCE. The module keeps no state, so no call
 changes the tolerance of a later call.
@@ -45,16 +50,52 @@ PAULI_Y = _const([[0, -1j], [1j, 0]])
 PAULI_Z = _const([[1, 0], [0, -1]])
 
 
-def _as_square(m):
+def _square(m, *sides):
+    # m as a complex array that is n x n for an n in sides
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
-        raise DomainError("matrix must be 2x2 or 4x4, got shape %r" % (m.shape,))
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in sides:
+        shapes = " or ".join("%dx%d" % (n, n) for n in sides)
+        raise DomainError("expected a %s matrix, got shape %r" % (shapes, m.shape))
     return m
+
+
+def _side(partition):
+    if partition not in ("A", "B"):
+        raise DomainError("partition must be 'A' or 'B', got %r" % (partition,))
+    return partition
+
+
+def _integer(value, what, lo, hi=math.inf):
+    # NaN, infinities and fractions are domain errors, never truncated
+    try:
+        whole = int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not (whole and lo <= value <= hi):
+        raise DomainError("%s must be an integer in [%d, %s], got %r" % (what, lo, hi, value))
+    return int(value)
+
+
+def _check_densities(rho, tol=None, single=True):
+    # rho itself once each matrix is Hermitian with unit trace. rho is one
+    # matrix or a (K, n, n) stack; unless single, a message names the first
+    # failing index. Callers check every matrix before any work starts.
+    t = resolve_tolerance(tol)
+    mats = rho.reshape(-1, *rho.shape[-2:])
+    herm = np.max(np.abs(mats - mats.conj().swapaxes(1, 2)), axis=(1, 2))
+    traces = np.real(np.trace(mats, axis1=1, axis2=2))
+    for k in range(len(mats)):
+        what = "density matrix" if single else "density matrix %d" % k
+        if not herm[k] <= t:
+            raise DomainError("%s is not Hermitian within tolerance" % what)
+        if not abs(traces[k] - 1.0) <= t:
+            raise DomainError("%s trace %g differs from 1 beyond tolerance" % (what, traces[k]))
+    return rho
 
 
 def is_hermitian(m, tol=None):
     """True when ``m`` equals its conjugate transpose within tolerance."""
-    m = _as_square(m)
+    m = _square(m, 2, 4)
     return bool(np.max(np.abs(m - m.conj().T)) <= resolve_tolerance(tol))
 
 
@@ -112,7 +153,7 @@ def hermitian_eigenvalues(m, tol=None):
     numpy.ndarray
     """
     t = resolve_tolerance(tol)
-    m = _as_square(m)
+    m = _square(m, 2, 4)
     if not is_hermitian(m, t):
         raise DomainError("input is not Hermitian within tolerance %g" % t)
     vals = np.linalg.eigvalsh(m)[::-1].copy()
@@ -133,9 +174,7 @@ def general_eigenvalues_4x4(m):
     imaginary parts. Raises NumericError when the eigenvalue iteration
     does not converge.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        raise DomainError("expected a 4x4 matrix, got shape %r" % (m.shape,))
+    m = _square(m, 4)
     try:
         return np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
@@ -155,10 +194,8 @@ def von_neumann_entropy(rho, tol=None):
         within tolerance.
     """
     t = resolve_tolerance(tol)
+    rho = _check_densities(_square(rho, 2, 4), t)
     vals = hermitian_eigenvalues(rho, t)
-    tr = float(np.real(np.trace(rho)))
-    if abs(tr - 1.0) > t:
-        raise DomainError("density matrix trace %g differs from 1 beyond tolerance" % tr)
     if vals[-1] < -t or vals[0] > 1.0 + t:
         raise DomainError(
             "eigenvalues outside [0, 1] beyond tolerance: min=%g max=%g" % (vals[-1], vals[0])
@@ -182,15 +219,10 @@ def partial_trace(rho, partition):
         The subsystem that is traced out; the other one is returned,
         so partial_trace(rho, "B") is the reduced state of A.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise DomainError("expected a 4x4 matrix, got shape %r" % (rho.shape,))
-    r = rho.reshape(2, 2, 2, 2)
-    if partition == "A":
+    r = _square(rho, 4).reshape(2, 2, 2, 2)
+    if _side(partition) == "A":
         return np.einsum("ijil->jl", r)
-    if partition == "B":
-        return np.einsum("ijkj->ik", r)
-    raise DomainError("partition must be 'A' or 'B', got %r" % (partition,))
+    return np.einsum("ijkj->ik", r)
 
 
 def kronecker(a, b):

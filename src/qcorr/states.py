@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .linalg import DomainError, PAULI_Y, check_range, kronecker, resolve_tolerance
+from .linalg import DomainError, PAULI_Y, _side, _square, check_range, kronecker, resolve_tolerance
 
 WERNER_RANGE = (-1.0, 1.0 / 3.0)
 GWL_RANGE = (-1.0 / 3.0, 1.0)
@@ -157,10 +157,7 @@ def gwl(psi, p, tol=None):
 
 def spin_flip(rho):
     """Spin-flipped state (sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise DomainError("expected a 4x4 matrix, got shape %r" % (rho.shape,))
-    return _SPIN_FLIP_CONJ @ rho.conj() @ _SPIN_FLIP_CONJ
+    return _SPIN_FLIP_CONJ @ _square(rho, 4).conj() @ _SPIN_FLIP_CONJ
 
 
 def reduced_from_wmatrix(psi, partition):
@@ -174,11 +171,9 @@ def reduced_from_wmatrix(psi, partition):
         (W^T)(W^T)+. Matches partial_trace over the other subsystem.
     """
     w = psi.matrix
-    if partition == "A":
+    if _side(partition) == "A":
         return w @ w.conj().T
-    if partition == "B":
-        return w.T @ w.conj()
-    raise DomainError("partition must be 'A' or 'B', got %r" % (partition,))
+    return w.T @ w.conj()
 
 
 def random_pure_state(seed):
@@ -208,7 +203,4 @@ def local_unitary(psi, u_a, u_b, tol=None):
 
 def swap_qubits(rho):
     """Conjugate a 4x4 state by the exchange operator (relabel A <-> B)."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise DomainError("expected a 4x4 matrix, got shape %r" % (rho.shape,))
-    return EXCHANGE @ rho @ EXCHANGE
+    return EXCHANGE @ _square(rho, 4) @ EXCHANGE

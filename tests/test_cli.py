@@ -65,7 +65,7 @@ def test_oracle_grid_flag_is_capped(monkeypatch, capsys):
         ["verify", "--kind", "werner", "--p-step", "0.5", "--grid", "1001"],
     ):
         assert main(argv) == 1
-        assert "grid_n must be in [8, 1000]" in capsys.readouterr().err
+        assert "grid_n must be an integer in [8, 1000]" in capsys.readouterr().err
 
 
 def test_csv_text():
@@ -268,6 +268,16 @@ def test_crossover_p_crossing(capsys):
     assert abs(p_root - 0.8785091086924077) < 1e-6
 
 
+def test_crossover_p_crossing_ignores_the_p_grid_flags(capsys):
+    # p-crossing scans its own points, so a --p-step it never uses once
+    # exited 1 with "--p-step must be positive"
+    argv = ["crossover", "--functional", "p-crossing", "--family", "harmonic", "--nmax", "20", "--alpha", "0.6"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    assert main(argv + ["--p-step", "0"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_crossover_alpha_max_p_reports_no_sign_change(capsys):
     rc = main(
         [
@@ -361,6 +371,18 @@ def test_deformed_levels_are_capped_before_any_ket_is_built(monkeypatch, capsys)
     assert main(argv + ["--family", "harmonic", "--nmax", "1000000000"]) == 1
     assert tops == []
     assert "n_max must be an integer in [0, 100000]" in capsys.readouterr().err
+
+
+def test_state_info_asks_for_p_before_building_a_state(monkeypatch, capsys):
+    # the exciton at kappa = 1e-6 once built a 100,001-level ket before it
+    # reported the missing --p
+    calls = []
+    monkeypatch.setattr(deformed_module, "coherent_coefficients", lambda *a: calls.append(a))
+    argv = ["state-info", "--kind", "deformed", "--family", "exciton", "--kappa", "1e-6", "--alpha", "0.5"]
+    assert main(argv) == 1
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--p" in err
 
 
 def test_error_exit_codes(capsys):

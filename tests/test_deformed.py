@@ -263,6 +263,12 @@ def test_select_nmax():
         select_nmax(DeformationSpec("exciton", kappa=0.8), 0.65, "A")  # cap < 1
 
 
+def test_select_nmax_tol_none_means_the_default():
+    # tol=None once raised TypeError; it means DEFAULT_TOLERANCE, 1e-10
+    assert select_nmax(HARMONIC, 1.0, "coherent", tol=None) == 12
+    assert select_nmax(HARMONIC, 0.65, "A", tol=None) == 9
+
+
 def test_levels_and_N_pass_one_integer_check():
     pt = DeformationSpec("poschl_teller", N=10, n_max=9)
     nan, inf = float("nan"), float("inf")

@@ -365,13 +365,44 @@ def test_qd_numeric_input_validation():
         qd_numeric(np.eye(2) / 2.0)
 
 
+@pytest.mark.parametrize(
+    "rho, match",
+    [
+        (2.0 * werner(-0.9), "trace 2 differs from 1"),  # once read as probability 1.0
+        (werner(-0.9) + np.triu(np.full((4, 4), 0.1), 1), "not Hermitian"),
+        (np.eye(2) / 2.0, "expected a 4x4 matrix"),  # once numpy's ValueError
+    ],
+    ids=["trace-2", "non-hermitian", "2x2"],
+)
+def test_luders_update_checks_its_density_matrix(rho, match):
+    with pytest.raises(DomainError, match=match):
+        luders_update(rho, MeasurementDirection(0.3, 0.2), 0)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(grid_n=math.nan),  # once ValueError
+        dict(grid_n=math.inf),  # once OverflowError
+        dict(grid_n=8.9),  # once run at 8
+        dict(refine_iters=math.nan),  # once ValueError
+        dict(refine_iters=-3),  # once NumericError "... in -3 polls"
+    ],
+    ids=["grid-nan", "grid-inf", "grid-fraction", "iters-nan", "iters-negative"],
+)
+def test_qd_numeric_counts_are_integers_in_range(kw):
+    (name,) = kw
+    with pytest.raises(DomainError, match="%s must be an integer in" % name):
+        qd_numeric(werner(-0.5), **kw)
+
+
 def test_qd_numeric_caps_the_grid_before_building_it(monkeypatch):
     def no_grid(grid_n):
         raise AssertionError("the direction grid was built for grid_n=%d" % grid_n)
 
     monkeypatch.setattr(discord_module, "_direction_grid", no_grid)
     for grid_n in (MAX_GRID_N + 1, 10**6):
-        with pytest.raises(DomainError, match="grid_n must be in"):
+        with pytest.raises(DomainError, match="grid_n must be an integer in"):
             qd_numeric(werner(-0.5), grid_n=grid_n)
     # the cap itself is allowed: the search goes on to build its grid
     with pytest.raises(AssertionError, match="grid_n=%d" % MAX_GRID_N):

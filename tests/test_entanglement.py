@@ -89,8 +89,7 @@ def test_concurrence_mixed_rejects_a_trace_off_one():
         concurrence_mixed((1.0 + 1e-12) * werner(-0.9), tol=1e-13)
 
 def test_concurrence_mixed_rejects_bad_spectra():
-    # not density matrices: rho rho~ grows complex (resp. negative)
-    # eigenvalues and the pipeline refuses both
+    # not Hermitian, so not density matrices: refused before any eigenvalue
     shifted = np.array(
         [
             [0.25, 1.0, 0.0, 0.0],
@@ -100,8 +99,6 @@ def test_concurrence_mixed_rejects_bad_spectra():
         ],
         dtype=complex,
     )
-    with pytest.raises(NumericError, match="imaginary"):
-        concurrence_mixed(shifted)
     cyclic = np.array(
         [
             [0.25, 0.3, 0.0, 0.0],
@@ -111,8 +108,27 @@ def test_concurrence_mixed_rejects_bad_spectra():
         ],
         dtype=complex,
     )
+    for bad in (shifted, cyclic):
+        with pytest.raises(DomainError, match="density matrix is not Hermitian"):
+            concurrence_mixed(bad)
+    # Hermitian with unit trace but indefinite: rho rho~ grows negative
+    # (resp. complex) eigenvalues and the pipeline refuses both
     with pytest.raises(NumericError, match="negative"):
-        concurrence_mixed(cyclic)
+        concurrence_mixed(np.diag([0.75, 0.75, -0.25, -0.25]))
+    paired = np.eye(4, dtype=complex) / 4.0
+    paired[0, 1] = paired[1, 0] = paired[0, 2] = paired[2, 0] = 0.5
+    with pytest.raises(NumericError, match="imaginary"):
+        concurrence_mixed(paired)
+
+
+@pytest.mark.parametrize("entry, value", [((0, 3), 0.3), ((2, 1), 0.0)])
+def test_concurrence_mixed_rejects_a_non_hermitian_matrix(entry, value):
+    # one entry of werner(-0.9) set without its mirror once read as the
+    # unperturbed 0.85, or as 0.0
+    rho = werner(-0.9)
+    rho[entry] = value
+    with pytest.raises(DomainError, match="density matrix is not Hermitian"):
+        concurrence_mixed(rho)
 
 
 def test_gwl_analytic_thresholds():

@@ -211,3 +211,22 @@ def test_no_module_rebinds_a_global():
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)]
         assert not lines, "%s: global statement on line(s) %s" % (path.name, lines)
+
+
+def test_each_input_check_has_one_home():
+    # each check's message is written once in the package, so every module
+    # that takes such an input runs the same check and gives the same error
+    source = "".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted(Path(qcorr.__file__).parent.glob("*.py"))
+    )
+    for message in (
+        "partition must be 'A' or 'B'",
+        "differs from 1 beyond tolerance",
+        "%s is not Hermitian within tolerance",
+        "alpha must be finite and non-negative",
+        "expected a %s matrix, got shape",
+        "must be an integer in [",
+    ):
+        assert source.count(message) == 1, message
+    assert "expected a 4x4 matrix" not in source
