@@ -10,11 +10,9 @@ f-deformed coherent states. See the module docstrings of ``linalg``,
 
 from .deformed import (
     DeformationSpec,
-    DeformedKet,
     QuasiBellSpec,
     coherent_coefficients,
     concurrence_quasi_bell,
-    deformation_value,
     displacement_validity,
     hard_nmax,
     overlap,
@@ -25,12 +23,9 @@ from .discord import (
     DiscordBreakdown,
     MeasurementDirection,
     PostMeasurement,
-    conditional_entropy_gwl_analytic,
     entropy_gwl,
-    entropy_werner,
     lifted_projector,
     luders_update,
-    measurement_projector,
     mixing_after_measurement,
     qd_gwl,
     qd_gwl_analytic,
@@ -51,10 +46,8 @@ from .linalg import (
     DomainError,
     NumericError,
     binary_entropy,
-    general_eigenvalues_4x4,
     hermitian_eigenvalues,
     is_hermitian,
-    kronecker,
     partial_trace,
     von_neumann_entropy,
 )

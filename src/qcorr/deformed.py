@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .discord import qd_gwl
-from .linalg import DEFAULT_TOLERANCE, DomainError, _integer, resolve_tolerance
+from .linalg import DomainError, _integer, resolve_tolerance
 from .states import WMatrix
 
 FAMILIES = ("harmonic", "poschl_teller", "exciton", "morse")
@@ -167,39 +167,8 @@ def _f_table(spec, top, beyond=False):
     return table
 
 
-def deformation_value(spec, n):
-    """The deformation function f(n).
-
-    Levels outside the family validity window raise DomainError unless
-    the spec carries ``override_bound`` (and even then only while the
-    expression stays positive).
-    """
-    n = _integer(n, "level n", 0, MAX_NMAX)
-    return _f_table(spec, n)[n]
-
-
-@dataclass(frozen=True)
-class DeformedKet:
-    """Normalized coefficients of a (deformed) coherent state.
-
-    ``truncation_tail`` estimates the weight of the first level beyond
-    n_max relative to the kept mass (nan when that level cannot be
-    evaluated or its weight overflows); it is a diagnostic only.
-    """
-
-    coefficients: np.ndarray
-    alpha: float
-    kind: str
-    truncation_tail: float = float("nan")
-
-    def __post_init__(self):
-        total = float(np.sum(np.abs(self.coefficients) ** 2))
-        if abs(total - 1.0) > DEFAULT_TOLERANCE:
-            raise DomainError("ket coefficients have norm %.12g, expected 1" % total)
-
-
 def coherent_coefficients(spec, alpha, kind):
-    """Normalized level amplitudes c_0..c_{n_max} for one state kind.
+    """Normalized level amplitudes c_0..c_{n_max} for one state kind, as an array.
 
     alpha must be a finite, non-negative real; spec.n_max must be set.
     """
@@ -208,32 +177,21 @@ def coherent_coefficients(spec, alpha, kind):
     if spec.n_max is None:
         raise DomainError("spec.n_max must be set to build coefficients")
     exp = {"A": -1, "D": 1, "coherent": 0}[kind]
-    # the kept levels lie inside the window; the next one may not
-    f = _f_table(spec, spec.n_max + 1, beyond=True)
+    f = _f_table(spec, spec.n_max)
     weights = np.empty(spec.n_max + 1)
     weights[0] = 1.0
     # a large alpha overflows the weights or their squares to inf, which is
-    # reported as a domain error, not as numpy's overflow warnings; a next
-    # level whose square overflows leaves the tail nan
+    # reported as a domain error, not as numpy's overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, spec.n_max + 1):
             weights[n] = weights[n - 1] * alpha / math.sqrt(n) * f[n] ** exp
         mass = float(np.sum(weights**2))
-        if not 0.0 < mass < math.inf:
-            raise DomainError(
-                "alpha = %r overflows the level weights of the %s ket on levels 0..%d"
-                % (alpha, kind, spec.n_max)
-            )
-        tail = float("nan")
-        if len(f) > spec.n_max + 1:
-            nxt = weights[spec.n_max] * alpha / math.sqrt(spec.n_max + 1) * f[-1] ** exp
-            tail = nxt * nxt / (mass + nxt * nxt)
-    return DeformedKet(
-        coefficients=weights / math.sqrt(mass),
-        alpha=alpha,
-        kind=kind,
-        truncation_tail=tail,
-    )
+    if not 0.0 < mass < math.inf:
+        raise DomainError(
+            "alpha = %r overflows the level weights of the %s ket on levels 0..%d"
+            % (alpha, kind, spec.n_max)
+        )
+    return weights / math.sqrt(mass)
 
 
 def displacement_validity(spec, alpha, n_max=None):
@@ -269,9 +227,9 @@ def overlap(spec, alpha, kind):
     Equals sum_n (-1)^n |c_n|^2 for the normalized coefficients, so it
     lies in (-1, 1] with s = 1 only at alpha = 0.
     """
-    ket = coherent_coefficients(spec, alpha, kind)
-    signs = np.where(np.arange(ket.coefficients.size) % 2 == 0, 1.0, -1.0)
-    return float(np.sum(signs * ket.coefficients**2))
+    c = coherent_coefficients(spec, alpha, kind)
+    signs = np.where(np.arange(c.size) % 2 == 0, 1.0, -1.0)
+    return float(np.sum(signs * c**2))
 
 
 @dataclass(frozen=True)
@@ -332,7 +290,7 @@ def select_nmax(spec, alpha, kind, tol=None):
         raise DomainError("family window leaves no room to compare levels (cap %d)" % cap)
     # one ket at the top level gives the overlap of every truncation n:
     # s_n = sum_{k<=n} (-1)^k c_k^2 / sum_{k<=n} c_k^2
-    weights = coherent_coefficients(replace(spec, n_max=cap + 1), alpha, kind).coefficients ** 2
+    weights = coherent_coefficients(replace(spec, n_max=cap + 1), alpha, kind) ** 2
     signed = np.where(np.arange(weights.size) % 2 == 0, weights, -weights)
     s = np.cumsum(signed)[1:] / np.cumsum(weights)[1:]
     qd = qd_gwl((1.0 - s * s) / (1.0 + s * s), SELECT_NMAX_PROBE_P)

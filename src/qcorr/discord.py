@@ -97,12 +97,11 @@ from .linalg import (
     PAULI_Z,
     _check_densities,
     _integer,
+    _shaped,
     _side,
-    _square,
     binary_entropy,
     check_range,
     float_or_array,
-    kronecker,
     partial_trace,
     resolve_tolerance,
     xlog2x,
@@ -189,12 +188,6 @@ class DiscordBreakdown:
     amplitude: float
 
 
-def entropy_werner(p, tol=None):
-    """Total von Neumann entropy of the Werner state, in bits."""
-    p = check_range(p, *WERNER_RANGE, "Werner mixing parameter", tol)
-    return float_or_array(2.0 - xlog2x(1.0 - 3.0 * p) / 4.0 - 3.0 * xlog2x(1.0 + p) / 4.0)
-
-
 def entropy_gwl(p, tol=None):
     """Total von Neumann entropy of a GWL state, in bits.
 
@@ -205,21 +198,16 @@ def entropy_gwl(p, tol=None):
     return float_or_array(2.0 - 3.0 * xlog2x(1.0 - p) / 4.0 - xlog2x(1.0 + 3.0 * p) / 4.0)
 
 
-def measurement_projector(direction, m):
-    """Rank-1 projector 1/2 [ I + (-1)^m n . sigma ] as a 2x2 matrix."""
+def lifted_projector(direction, m, partition="A"):
+    """Pi (x) I for side A, I (x) Pi for B, with Pi = 1/2 [ I + (-1)^m n . sigma ]."""
     if m not in (0, 1):
         raise DomainError("branch index m must be 0 or 1, got %r" % (m,))
     n = direction.bloch_vector
     sign = 1.0 if m == 0 else -1.0
-    return 0.5 * (IDENTITY_2 + sign * (n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z))
-
-
-def lifted_projector(direction, m, partition="A"):
-    """The projector acting on the full pair: Pi (x) I for side A."""
-    pi = measurement_projector(direction, m)
+    pi = 0.5 * (IDENTITY_2 + sign * (n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z))
     if _side(partition) == "A":
-        return kronecker(pi, IDENTITY_2)
-    return kronecker(IDENTITY_2, pi)
+        return np.kron(pi, IDENTITY_2)
+    return np.kron(IDENTITY_2, pi)
 
 
 def luders_update(rho, direction, m, partition="A", tol=None):
@@ -232,7 +220,7 @@ def luders_update(rho, direction, m, partition="A", tol=None):
     must be a 4x4 density matrix: Hermitian, unit trace within tolerance.
     """
     t = resolve_tolerance(tol)
-    rho = _check_densities(_square(rho, 4), t)
+    rho = _check_densities(_shaped(rho, "matrix", (4, 4)), t)
     proj = lifted_projector(direction, m, partition)
     prob = float(np.real(np.trace(proj @ rho)))
     if prob <= t:
@@ -304,27 +292,6 @@ def reduced_entropy_gwl(c_pure, p, tol=None):
     The reduced eigenvalues are (1 +- p sqrt(1 - c^2))/2.
     """
     return float_or_array(_gwl_closed_forms(c_pure, p, tol)[1])
-
-
-def conditional_entropy_gwl_analytic(c_pure, p, tol=None):
-    """Minimized average conditional entropy for a GWL state, in bits.
-
-    Parameters
-    ----------
-    c_pure : float or array_like
-        Concurrence of the pure component, in [0, 1].
-    p : float or array_like
-        Mixing parameter in [-1/3, 1]; broadcast against ``c_pure``.
-
-    Returns
-    -------
-    (value, x0, x1)
-        The minimum of sum_m p_m S(conditional_m) over measurement
-        directions on either side, and the two conditional mixing
-        weights at the optimum.
-    """
-    _, _, cond, x0, x1, _ = _gwl_closed_forms(c_pure, p, tol)
-    return float_or_array(cond), float_or_array(x0), float_or_array(x1)
 
 
 def qd_werner(p, tol=None):
@@ -501,13 +468,9 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     t = resolve_tolerance(tol)
     grid_n = _integer(grid_n, "grid_n", 8, MAX_GRID_N)
     refine_iters = _integer(refine_iters, "refine_iters", 0)
-    rho = np.asarray(rho, dtype=complex)
+    rho = _shaped(rho, "rho", (4, 4), (0, 4, 4))
     single = rho.ndim == 2
     stack = rho[None] if single else rho
-    if stack.ndim != 3 or stack.shape[1:] != (4, 4):
-        raise DomainError(
-            "expected a 4x4 density matrix or a stack of them, got shape %r" % (rho.shape,)
-        )
     _side(partition)
     _check_densities(stack, t, single)
     n = len(stack)

@@ -34,11 +34,10 @@ import numpy as np
 from .linalg import (
     NumericError,
     _check_densities,
-    _square,
+    _shaped,
     binary_entropy,
     check_range,
     float_or_array,
-    general_eigenvalues_4x4,
     resolve_tolerance,
 )
 from .states import _SPIN_FLIP_CONJ, GWL_RANGE, WERNER_RANGE, spin_flip
@@ -72,9 +71,9 @@ def concurrence_mixed(rho, tol=None):
 
     A matrix that is not 4x4, not Hermitian or whose trace is off 1
     beyond tolerance raises DomainError. Eigenvalues of
-    rho rho~ are taken from the general (non-symmetric) 4x4 solver;
-    imaginary parts beyond tolerance raise NumericError, real parts in
-    [-tol, 0) are clipped to zero.
+    rho rho~ are taken from the general (non-symmetric) 4x4 solver; a
+    failed iteration, or imaginary parts or negative real parts beyond
+    tolerance, raise NumericError.
 
     The returned sqrt-eigenvalues come from an equivalent but better
     conditioned evaluation: with X the matrix of subnormalized
@@ -86,8 +85,15 @@ def concurrence_mixed(rho, tol=None):
     such amplification.
     """
     t = resolve_tolerance(tol)
-    rho = _check_densities(_square(rho, 4), t)
-    eigs = general_eigenvalues_4x4(rho @ spin_flip(rho))
+    rho = _check_densities(_shaped(rho, "matrix", (4, 4)), t)
+    product = rho @ spin_flip(rho)
+    try:
+        eigs = np.linalg.eigvals(product)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            "eigenvalue iteration failed (%s); Frobenius norm %g"
+            % (exc, float(np.linalg.norm(product)))
+        ) from exc
     worst_imag = float(np.max(np.abs(eigs.imag)))
     if worst_imag > t:
         raise NumericError(

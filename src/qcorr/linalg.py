@@ -5,10 +5,11 @@ two-qubit basis is ordered |ij> = |i>_A (x) |j>_B with row-major index
 2i + j; every module in the package relies on that convention. All
 entropies are in bits (log base 2).
 
-Every input check has its one home here: ``check_range`` and the private
-``_square`` (shape), ``_side``, ``_integer`` and ``_check_densities``
-(Hermitian, unit trace). A bad matrix, side or integer argument raises
-DomainError with the same message in every module.
+Every input check has its one home here: ``check_range``,
+``resolve_tolerance`` and the private ``_shaped`` (array shape),
+``_side``, ``_integer`` and ``_check_densities`` (Hermitian, unit
+trace). A bad array, side, integer or tolerance raises DomainError with
+the same message in every module.
 
 Every hermiticity, trace, positivity and range check takes ``tol``;
 None means DEFAULT_TOLERANCE. The module keeps no state, so no call
@@ -34,8 +35,16 @@ class NumericError(ArithmeticError):
 
 
 def resolve_tolerance(tol=None):
-    """Return ``tol`` as a float, or DEFAULT_TOLERANCE if None."""
-    return DEFAULT_TOLERANCE if tol is None else float(tol)
+    """Return ``tol`` as a float, or DEFAULT_TOLERANCE if None.
+
+    Any other value must be finite and positive, else DomainError.
+    """
+    if tol is None:
+        return DEFAULT_TOLERANCE
+    t = float(tol)
+    if not 0.0 < t < math.inf:
+        raise DomainError("tolerance must be finite and positive, got %r" % (tol,))
+    return t
 
 
 def _const(rows):
@@ -50,13 +59,15 @@ PAULI_Y = _const([[0, -1j], [1j, 0]])
 PAULI_Z = _const([[1, 0], [0, -1]])
 
 
-def _square(m, *sides):
-    # m as a complex array that is n x n for an n in sides
+def _shaped(m, what, *shapes):
+    # m as a complex array of one of the shapes; a 0 in a shape is a stack
+    # axis of any length
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in sides:
-        shapes = " or ".join("%dx%d" % (n, n) for n in sides)
-        raise DomainError("expected a %s matrix, got shape %r" % (shapes, m.shape))
-    return m
+    for shape in shapes:
+        if m.ndim == len(shape) and all(n in (0, k) for n, k in zip(shape, m.shape)):
+            return m
+    names = " or ".join("x".join(str(n or "K") for n in shape) for shape in shapes)
+    raise DomainError("%s must have shape %s, got shape %r" % (what, names, m.shape))
 
 
 def _side(partition):
@@ -95,7 +106,7 @@ def _check_densities(rho, tol=None, single=True):
 
 def is_hermitian(m, tol=None):
     """True when ``m`` equals its conjugate transpose within tolerance."""
-    m = _square(m, 2, 4)
+    m = _shaped(m, "matrix", (2, 2), (4, 4))
     return bool(np.max(np.abs(m - m.conj().T)) <= resolve_tolerance(tol))
 
 
@@ -153,35 +164,24 @@ def hermitian_eigenvalues(m, tol=None):
     numpy.ndarray
     """
     t = resolve_tolerance(tol)
-    m = _square(m, 2, 4)
+    m = _shaped(m, "matrix", (2, 2), (4, 4))
     if not is_hermitian(m, t):
         raise DomainError("input is not Hermitian within tolerance %g" % t)
+    return _clamped_eigenvalues(m, t)
+
+
+def _clamped_eigenvalues(m, t):
+    # eigenvalues of the checked Hermitian m, descending, [-t, 0) set to 0;
+    # the warning names the caller of the public function
     vals = np.linalg.eigvalsh(m)[::-1].copy()
     tiny = (vals < 0.0) & (vals >= -t)
     if np.any(tiny):
         warnings.warn(
             "clamping %d eigenvalue(s) in [-%g, 0) to zero" % (int(np.sum(tiny)), t),
-            stacklevel=2,
+            stacklevel=3,
         )
         vals[tiny] = 0.0
     return vals
-
-
-def general_eigenvalues_4x4(m):
-    """All four eigenvalues of a general (non-Hermitian) 4x4 matrix.
-
-    Returned unordered and complex; callers decide how to interpret
-    imaginary parts. Raises NumericError when the eigenvalue iteration
-    does not converge.
-    """
-    m = _square(m, 4)
-    try:
-        return np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            "eigenvalue iteration failed (%s); Frobenius norm %g"
-            % (exc, float(np.linalg.norm(m)))
-        ) from exc
 
 
 def von_neumann_entropy(rho, tol=None):
@@ -194,8 +194,7 @@ def von_neumann_entropy(rho, tol=None):
         within tolerance.
     """
     t = resolve_tolerance(tol)
-    rho = _check_densities(_square(rho, 2, 4), t)
-    vals = hermitian_eigenvalues(rho, t)
+    vals = _clamped_eigenvalues(_check_densities(_shaped(rho, "matrix", (2, 2), (4, 4)), t), t)
     if vals[-1] < -t or vals[0] > 1.0 + t:
         raise DomainError(
             "eigenvalues outside [0, 1] beyond tolerance: min=%g max=%g" % (vals[-1], vals[0])
@@ -219,12 +218,8 @@ def partial_trace(rho, partition):
         The subsystem that is traced out; the other one is returned,
         so partial_trace(rho, "B") is the reduced state of A.
     """
-    r = _square(rho, 4).reshape(2, 2, 2, 2)
+    r = _shaped(rho, "matrix", (4, 4)).reshape(2, 2, 2, 2)
     if _side(partition) == "A":
         return np.einsum("ijil->jl", r)
     return np.einsum("ijkj->ik", r)
 
-
-def kronecker(a, b):
-    """Tensor product respecting the |ij> = |i>_A (x) |j>_B ordering."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))

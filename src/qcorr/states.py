@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .linalg import DomainError, PAULI_Y, _side, _square, check_range, kronecker, resolve_tolerance
+from .linalg import DomainError, PAULI_Y, _shaped, _side, check_range, resolve_tolerance
 
 WERNER_RANGE = (-1.0, 1.0 / 3.0)
 GWL_RANGE = (-1.0 / 3.0, 1.0)
@@ -41,7 +41,7 @@ def _build_exchange():
 #: Exchange (swap) operator F4 = sum_ij |ij><ji|.
 EXCHANGE = _build_exchange()
 
-_SPIN_FLIP_CONJ = kronecker(PAULI_Y, PAULI_Y)
+_SPIN_FLIP_CONJ = np.kron(PAULI_Y, PAULI_Y)
 _SPIN_FLIP_CONJ.flags.writeable = False
 
 
@@ -56,9 +56,7 @@ class WMatrix:
     """
 
     def __init__(self, matrix, tol=None):
-        m = np.array(matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise DomainError("WMatrix must be 2x2, got shape %r" % (m.shape,))
+        m = _shaped(matrix, "WMatrix", (2, 2)).copy()
         norm = float(np.real(np.trace(m @ m.conj().T)))
         if not abs(norm - 1.0) <= resolve_tolerance(tol):
             raise DomainError("state norm tr(W W+) = %.12g is not 1" % norm)
@@ -81,10 +79,7 @@ class WMatrix:
 
     @classmethod
     def from_ket(cls, ket, tol=None):
-        ket = np.asarray(ket, dtype=complex)
-        if ket.shape != (4,):
-            raise DomainError("ket must have 4 amplitudes, got shape %r" % (ket.shape,))
-        return cls(ket.reshape(2, 2), tol=tol)
+        return cls(_shaped(ket, "ket", (4,)).reshape(2, 2), tol=tol)
 
     @classmethod
     def from_text(cls, text, tol=None):
@@ -117,15 +112,6 @@ class WMatrix:
             return cls(m / np.sqrt(norm))  # the program's own: default tolerance
         return cls(m, tol=tol)
 
-    def to_text(self):
-        """Inverse of from_text: four round-trippable tokens on one line."""
-        parts = []
-        for z in self.ket:
-            re, im = float(z.real), float(z.imag)
-            sign = "+" if im >= 0 else "-"
-            parts.append("%r%s%rj" % (re, sign, abs(im)))
-        return " ".join(parts)
-
     def __repr__(self):
         return "WMatrix(%r)" % (self._m.tolist(),)
 
@@ -157,7 +143,7 @@ def gwl(psi, p, tol=None):
 
 def spin_flip(rho):
     """Spin-flipped state (sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
-    return _SPIN_FLIP_CONJ @ _square(rho, 4).conj() @ _SPIN_FLIP_CONJ
+    return _SPIN_FLIP_CONJ @ _shaped(rho, "matrix", (4, 4)).conj() @ _SPIN_FLIP_CONJ
 
 
 def reduced_from_wmatrix(psi, partition):
@@ -190,17 +176,14 @@ def local_unitary(psi, u_a, u_b, tol=None):
     Raises DomainError when either factor fails the unitarity check.
     """
     t = resolve_tolerance(tol)
-    out = psi.matrix
+    u_a, u_b = _shaped(u_a, "U_A", (2, 2)), _shaped(u_b, "U_B", (2, 2))
     for name, u in (("U_A", u_a), ("U_B", u_b)):
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (2, 2):
-            raise DomainError("%s must be 2x2, got shape %r" % (name, u.shape))
-        if float(np.max(np.abs(u.conj().T @ u - np.eye(2)))) > t:
+        # "not <=" so that a NaN entry fails here, not later as a NaN norm
+        if not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= t:
             raise DomainError("%s is not unitary within tolerance %g" % (name, t))
-    out = np.asarray(u_a, dtype=complex) @ out @ np.asarray(u_b, dtype=complex).T
-    return WMatrix(out, tol=tol)
+    return WMatrix(u_a @ psi.matrix @ u_b.T, tol=tol)
 
 
 def swap_qubits(rho):
     """Conjugate a 4x4 state by the exchange operator (relabel A <-> B)."""
-    return EXCHANGE @ _square(rho, 4) @ EXCHANGE
+    return EXCHANGE @ _shaped(rho, "matrix", (4, 4)) @ EXCHANGE

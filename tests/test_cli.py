@@ -28,7 +28,12 @@ from qcorr import cli
 from qcorr import deformed as deformed_module
 from qcorr import discord as discord_module
 from qcorr.cli import UsageError, _bisect, _diagonal_wmatrix, csv_text, main, p_grid
-from qcorr.deformed import MAX_NMAX, deformation_value, select_nmax
+from qcorr.deformed import MAX_NMAX, select_nmax
+
+
+def wmatrix_text(psi):
+    # the --wmatrix format: four complex tokens, row-major, each a repr
+    return " ".join(repr(z) for z in psi.ket.tolist())
 
 
 def test_p_grid():
@@ -128,7 +133,7 @@ def test_sweep_gwl_concurrence_stdout(capsys):
 def test_sweep_wmatrix_file_with_oracle(tmp_path):
     psi = WMatrix(np.array([[0.0, 1.0], [-1.0, 0.0]]) / math.sqrt(2.0))
     src = tmp_path / "state.txt"
-    src.write_text(psi.to_text())
+    src.write_text(wmatrix_text(psi))
     out = tmp_path / "curve.csv"
     rc = main(
         [
@@ -162,7 +167,7 @@ def test_sweep_oracle_columns_equal_the_library_calls(source, tmp_path, capsys):
     else:
         path = tmp_path / "psi.txt"
         psi = WMatrix(np.array([[0.3, 0.5j], [-0.4, 0.2 + 0.6j]]) / math.sqrt(0.9))
-        path.write_text(psi.to_text(), encoding="utf-8")
+        path.write_text(wmatrix_text(psi), encoding="utf-8")
         psi = WMatrix.from_text(path.read_text(encoding="utf-8"))
         c_pure = concurrence_pure(psi)
         state = ["--kind", "gwl", "--wmatrix", str(path), "--p-step", "0.1"]
@@ -217,7 +222,7 @@ def test_deformed_windows_too_wide_for_a_float_do_not_crash(capsys):
     argv = ["state-info", "--kind", "deformed", "--alpha", "0.5", "--p", "0.5", "--deformed-kind", "A"]
     for kappa in ("1e-200", "1e-160"):
         spec = DeformationSpec("exciton", kappa=float(kappa))
-        assert deformation_value(spec, MAX_NMAX) == 1.0
+        assert deformed_module._f_table(spec, MAX_NMAX)[MAX_NMAX] == 1.0
         n_max = select_nmax(spec, 0.5, "A")
         assert main(argv + ["--family", "exciton", "--kappa", kappa]) == 0, kappa
         exciton = capsys.readouterr().out

@@ -20,9 +20,7 @@ from qcorr import (
     binary_entropy,
     concurrence_gwl_analytic,
     concurrence_werner,
-    conditional_entropy_gwl_analytic,
     entropy_gwl,
-    entropy_werner,
     eof_from_concurrence,
     eof_werner,
     gwl,
@@ -33,6 +31,7 @@ from qcorr import (
     random_pure_state,
     reduced_entropy_gwl,
 )
+from qcorr.discord import _gwl_closed_forms
 from qcorr.states import GWL_RANGE, WERNER_RANGE
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -65,8 +64,9 @@ def test_discord_lies_between_zero_and_mutual_information(c, p):
 @PROPERTY
 @given(werner_ps)
 def test_werner_discord_lies_between_zero_and_mutual_information(p):
-    # both reduced states of a Werner state are maximally mixed
-    assert -1e-14 <= qd_werner(p) <= 2.0 - entropy_werner(p) + 1e-14
+    # both reduced states of a Werner state are maximally mixed, and its
+    # total entropy is that of GWL(singlet, -p)
+    assert -1e-14 <= qd_werner(p) <= 2.0 - entropy_gwl(-p) + 1e-14
 
 
 @PROPERTY
@@ -98,17 +98,18 @@ def test_array_call_equals_scalar_calls_bit_for_bit(points):
         (qd_werner, (ws,)),
         (eof_werner, (ws,)),
         (concurrence_werner, (ws,)),
-        (entropy_werner, (ws,)),
     ]
     for f, arrays in cases:
         whole = f(*arrays)
         for k in range(len(points)):
             one = f(*(float(a[k]) for a in arrays))
             assert type(one) is float and one == whole[k] and repr(one) != "-0.0", f.__name__
-    whole = conditional_entropy_gwl_analytic(cs, ps)
+    # every (C, p) closed form at once: total, reduced and conditional
+    # entropies, x0, x1 and d
+    whole = _gwl_closed_forms(cs, ps, None)
     for k, (c, p, _) in enumerate(points):
-        for one, array in zip(conditional_entropy_gwl_analytic(c, p), whole):
-            assert type(one) is float and one == array[k]
+        for one, array in zip(_gwl_closed_forms(c, p, None), whole):
+            assert float(one) == array[k]
 
 
 def test_scalar_in_float_out_for_the_wrapper():
@@ -122,7 +123,6 @@ def test_nan_anywhere_in_an_array_raises_domain_error():
     calls = [
         lambda x: qd_gwl(x, good),
         lambda x: qd_gwl(good, x),
-        lambda x: conditional_entropy_gwl_analytic(good, x),
         lambda x: reduced_entropy_gwl(x, good),
         lambda x: entropy_gwl(x),
         lambda x: concurrence_gwl_analytic(good, x),
@@ -130,7 +130,6 @@ def test_nan_anywhere_in_an_array_raises_domain_error():
         lambda x: binary_entropy(x),
         lambda x: qd_werner(-x),
         lambda x: eof_werner(-x),
-        lambda x: entropy_werner(-x),
     ]
     for call in calls:
         call(good)
@@ -177,7 +176,7 @@ def test_closed_forms_against_50_digit_reference_at_the_edges():
             (qd_werner(p), want.qd),
             (eof_werner(p), want.eof),
             (concurrence_werner(p), want.concurrence),
-            (entropy_werner(p), want.entropy_total),
+            (entropy_gwl(-p), want.entropy_total),
         ):
             worst = max(worst, abs(got - expected))
     assert worst < 1e-14

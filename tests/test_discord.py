@@ -18,16 +18,12 @@ from qcorr import (
     WMatrix,
     concurrence_mixed,
     concurrence_pure,
-    conditional_entropy_gwl_analytic,
     eof_from_concurrence,
     entropy_gwl,
-    entropy_werner,
     gwl,
-    kronecker,
     lifted_projector,
     local_unitary,
     luders_update,
-    measurement_projector,
     mixing_after_measurement,
     partial_trace,
     pure_density,
@@ -84,10 +80,11 @@ def test_entropy_closed_forms_match_eigendecomposition():
         # the zero eigenvalue at either range edge rounds slightly
         # negative and triggers the clamp warning
         warnings.simplefilter("ignore", UserWarning)
+        # Werner(p) is GWL(singlet, -p), whose total entropy is entropy_gwl(-p)
         for p in np.arange(-1.0, 1.0 / 3.0 + 1e-9, 0.02):
-            assert abs(entropy_werner(p) - von_neumann_entropy(werner(p))) < 1e-12
-        assert abs(entropy_werner(1.0 / 3.0) - math.log2(3.0)) < 1e-12
-        assert entropy_werner(0.0) == 2.0
+            assert abs(entropy_gwl(-p) - von_neumann_entropy(werner(p))) < 1e-12
+        assert abs(entropy_gwl(-1.0 / 3.0) - math.log2(3.0)) < 1e-12
+        assert entropy_gwl(0.0) == 2.0
         for seed in range(5):
             psi = random_pure_state(seed=seed)
             c = concurrence_pure(psi)
@@ -97,39 +94,39 @@ def test_entropy_closed_forms_match_eigendecomposition():
                 red = partial_trace(rho, "B")
                 assert abs(reduced_entropy_gwl(c, p) - von_neumann_entropy(red)) < 1e-12
     with pytest.raises(DomainError):
-        entropy_werner(0.5)
-    with pytest.raises(DomainError):
         entropy_gwl(-0.5)
     with pytest.raises(DomainError):
         reduced_entropy_gwl(1.5, 0.5)
 
 
 def test_measurement_projector():
+    # the side-A factor Pi of Pi (x) I is its upper-left 2x2 block over 1
     rng = np.random.default_rng(43)
     for _ in range(20):
         direction = MeasurementDirection(rng.uniform(0.0, math.pi / 2.0), rng.uniform(0.0, 2.0 * math.pi))
         assert abs(np.linalg.norm(direction.bloch_vector) - 1.0) < 1e-12
-        p0 = measurement_projector(direction, 0)
-        p1 = measurement_projector(direction, 1)
-        assert np.max(np.abs(p0 @ p0 - p0)) < 1e-12  # idempotent
-        assert np.max(np.abs(p0 + p1 - np.eye(2))) < 1e-12
-        assert abs(np.trace(p0).real - 1.0) < 1e-12
+        lifted0 = lifted_projector(direction, 0)
+        lifted1 = lifted_projector(direction, 1)
+        assert np.max(np.abs(lifted0 @ lifted0 - lifted0)) < 1e-12  # idempotent
+        assert np.max(np.abs(lifted0 + lifted1 - np.eye(4))) < 1e-12
+        assert abs(np.trace(lifted0).real - 2.0) < 1e-12
     # theta = 0 is the z axis (the polar angle is doubled)
-    assert np.allclose(measurement_projector(MeasurementDirection(0.0, 0.0), 0), np.diag([1.0, 0.0]))
+    assert np.allclose(lifted_projector(MeasurementDirection(0.0, 0.0), 0), np.diag([1.0, 1.0, 0.0, 0.0]))
     assert np.allclose(
-        measurement_projector(MeasurementDirection(math.pi / 4.0, 0.0), 0),
-        0.5 * (np.eye(2) + PAULI_X),
+        lifted_projector(MeasurementDirection(math.pi / 4.0, 0.0), 0),
+        np.kron(0.5 * (np.eye(2) + PAULI_X), np.eye(2)),
     )
-    with pytest.raises(DomainError):
-        measurement_projector(MeasurementDirection(0.0, 0.0), 2)
+    for m in (2, -1, 0.5):
+        with pytest.raises(DomainError, match="branch index m must be 0 or 1"):
+            lifted_projector(MeasurementDirection(0.0, 0.0), m)
 
 
 def test_lifted_projector():
     direction = MeasurementDirection(0.3, 1.1)
-    pi0 = measurement_projector(direction, 0)
-    assert np.array_equal(lifted_projector(direction, 0, "A"), kronecker(pi0, np.eye(2)))
-    assert np.array_equal(lifted_projector(direction, 0, "B"), kronecker(np.eye(2), pi0))
-    assert np.allclose(lifted_projector(MeasurementDirection(0.0, 0.0), 0, "A"), np.diag([1.0, 1.0, 0.0, 0.0]))
+    pi0 = lifted_projector(direction, 0, "A")[::2, ::2]
+    assert np.array_equal(lifted_projector(direction, 0, "A"), np.kron(pi0, np.eye(2)))
+    assert np.array_equal(lifted_projector(direction, 0, "B"), np.kron(np.eye(2), pi0))
+    assert np.allclose(lifted_projector(MeasurementDirection(0.0, 0.0), 0, "B"), np.diag([1.0, 0.0, 1.0, 0.0]))
     with pytest.raises(DomainError):
         lifted_projector(direction, 0, "C")
 
@@ -231,27 +228,25 @@ def test_conditional_entropy_against_explicit_measurement():
                 b = luders_update(rho, direction, m)
                 avg += b.probability * von_neumann_entropy(b.conditional_state_B)
                 xs.append(b.mixing_x)
-            value, x0, x1 = conditional_entropy_gwl_analytic(concurrence_pure(psi), p)
-            assert abs(value - avg) < 1e-10
-            assert abs(min(xs) - min(x0, x1)) < 1e-10
-            assert abs(max(xs) - max(x0, x1)) < 1e-10
+            out = qd_gwl_analytic(psi, p)
+            assert abs(out.conditional_entropy - avg) < 1e-10
+            assert abs(min(xs) - min(out.x0, out.x1)) < 1e-10
+            assert abs(max(xs) - max(out.x0, out.x1)) < 1e-10
 
 
 def test_conditional_entropy_limits():
     for seed in range(5):
         psi = random_pure_state(seed=seed)
         # p = 0: the conditional state is maximally mixed either way
-        c = concurrence_pure(psi)
-        value, x0, x1 = conditional_entropy_gwl_analytic(c, 0.0)
-        assert abs(value - 1.0) < 1e-14
-        assert x0 == 0.0 and x1 == 0.0
+        out = qd_gwl_analytic(psi, 0.0)
+        assert abs(out.conditional_entropy - 1.0) < 1e-14
+        assert out.x0 == 0.0 and out.x1 == 0.0
         # p = 1: rank-1 measurement of a pure state leaves pure
         # conditionals, zero entropy, both mixing weights at 1
-        value, x0, x1 = conditional_entropy_gwl_analytic(c, 1.0)
-        assert value == 0.0
-        assert x0 == 1.0 and x1 == 1.0
-    value, _, _ = conditional_entropy_gwl_analytic(0.0, 1.0)
-    assert value == 0.0
+        out = qd_gwl_analytic(psi, 1.0)
+        assert out.conditional_entropy == 0.0
+        assert out.x0 == 1.0 and out.x1 == 1.0
+    assert qd_gwl_analytic(PRODUCT, 1.0).conditional_entropy == 0.0
 
 
 def test_qd_werner_endpoints_and_oracle():
@@ -329,10 +324,10 @@ def test_qd_numeric_matches_luo_on_rotated_bell_diagonal_states():
     cases, stack = [], []
     while len(cases) < 12:
         c = rng.uniform(-0.9, 0.9, size=3)
-        rho = 0.25 * (np.eye(4) + sum(ci * kronecker(s, s) for ci, s in zip(c, (PAULI_X, PAULI_Y, PAULI_Z))))
+        rho = 0.25 * (np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(c, (PAULI_X, PAULI_Y, PAULI_Z))))
         if np.min(np.diff(np.sort(np.abs(c)))) > 0.05 and np.min(np.linalg.eigvalsh(rho)) > 0.02:
             if cases:
-                u = kronecker(random_unitary(rng), random_unitary(rng))
+                u = np.kron(random_unitary(rng), random_unitary(rng))
                 rho = u @ rho @ u.conj().T
             cases.append(c)
             stack.append(rho)
@@ -345,7 +340,7 @@ def test_qd_numeric_matches_luo_on_rotated_bell_diagonal_states():
 def test_qd_numeric_one_sided_classical_state():
     # classical on A (orthogonal markers) but not on B (overlapping states)
     plus = np.array([1.0, 1.0]) / SQ2
-    rho = 0.5 * kronecker(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])) + 0.5 * kronecker(
+    rho = 0.5 * np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])) + 0.5 * np.kron(
         np.diag([0.0, 1.0]), np.outer(plus, plus)
     )
     assert qd_numeric(rho, partition="A") < 1e-9
@@ -370,7 +365,7 @@ def test_qd_numeric_input_validation():
     [
         (2.0 * werner(-0.9), "trace 2 differs from 1"),  # once read as probability 1.0
         (werner(-0.9) + np.triu(np.full((4, 4), 0.1), 1), "not Hermitian"),
-        (np.eye(2) / 2.0, "expected a 4x4 matrix"),  # once numpy's ValueError
+        (np.eye(2) / 2.0, "must have shape 4x4"),  # once numpy's ValueError
     ],
     ids=["trace-2", "non-hermitian", "2x2"],
 )
@@ -790,8 +785,8 @@ def test_qd_numeric_stack_equals_serial_deformed(partition):
     # the one-sided classical state of the test above is not symmetric in A and B
     plus = np.array([1.0, 1.0]) / SQ2
     stack.append(
-        0.5 * kronecker(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
-        + 0.5 * kronecker(np.diag([0.0, 1.0]), np.outer(plus, plus))
+        0.5 * np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
+        + 0.5 * np.kron(np.diag([0.0, 1.0]), np.outer(plus, plus))
     )
     _assert_stack_matches_serial(np.array(stack), partition=partition, grid_n=16)
 
@@ -823,7 +818,7 @@ def test_qd_numeric_stack_equals_serial_at_kernel_edges(grid_n, partition):
 def test_oracle_and_concurrence_are_local_unitary_invariant(seed, p, rotation_seed):
     rho = gwl(random_pure_state(seed=seed), p)
     rng = np.random.default_rng(rotation_seed)
-    u = kronecker(random_unitary(rng), random_unitary(rng))
+    u = np.kron(random_unitary(rng), random_unitary(rng))
     rotated = u @ rho @ u.conj().T
     for partition in ("A", "B"):
         before, after = qd_numeric(np.array([rho, rotated]), partition=partition)
@@ -875,7 +870,7 @@ def test_qd_numeric_stack_rejects_bad_matrix_before_searching(monkeypatch):
             qd_numeric(np.array([good, good, bad, good]))
     with pytest.raises(DomainError, match="not Hermitian"):
         qd_numeric(werner(-0.5) + np.diag([0.0, 0.0, 0.0, np.nan]))
-    with pytest.raises(DomainError, match="stack"):
+    with pytest.raises(DomainError, match="rho must have shape 4x4 or Kx4x4"):
         qd_numeric(np.zeros((2, 2, 4, 4)))
 
 

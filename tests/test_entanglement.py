@@ -23,7 +23,7 @@ from qcorr import (
     spin_flip,
     werner,
 )
-from qcorr.linalg import PAULI_Y, kronecker
+from qcorr.linalg import PAULI_Y
 
 SQ2 = math.sqrt(2.0)
 
@@ -51,7 +51,7 @@ def test_concurrence_pure_exemplars():
 
 def test_concurrence_pure_matches_spin_flip_overlap():
     # C = |<psi|psi~>| with |psi~> = (sy x sy)|psi*>
-    flip = kronecker(PAULI_Y, PAULI_Y)
+    flip = np.kron(PAULI_Y, PAULI_Y)
     for seed in range(20):
         psi = random_pure_state(seed=seed)
         overlap = abs(np.vdot(psi.ket, flip @ psi.ket.conj()))
@@ -119,6 +119,18 @@ def test_concurrence_mixed_rejects_bad_spectra():
     paired[0, 1] = paired[1, 0] = paired[0, 2] = paired[2, 0] = 0.5
     with pytest.raises(NumericError, match="imaginary"):
         concurrence_mixed(paired)
+
+
+def test_concurrence_mixed_reports_a_failed_eigenvalue_iteration(monkeypatch):
+    # numpy's LinAlgError from the general solver becomes NumericError
+    def no_convergence(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    with pytest.raises(NumericError, match="eigenvalue iteration failed") as info:
+        concurrence_mixed(werner(-0.9))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    assert "Frobenius norm" in str(info.value)
 
 
 @pytest.mark.parametrize("entry, value", [((0, 3), 0.3), ((2, 1), 0.0)])

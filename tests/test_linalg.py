@@ -1,5 +1,6 @@
 import ast
 import math
+import types
 import warnings
 from pathlib import Path
 
@@ -9,16 +10,21 @@ import pytest
 from qcorr import (
     DomainError,
     NumericError,
+    WMatrix,
     binary_entropy,
-    general_eigenvalues_4x4,
+    gwl,
     hermitian_eigenvalues,
     is_hermitian,
-    kronecker,
+    mixing_after_measurement,
     partial_trace,
+    qd_werner,
+    random_pure_state,
+    select_nmax,
     von_neumann_entropy,
 )
 import qcorr
-from qcorr.linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
+from qcorr.deformed import DeformationSpec
+from qcorr.linalg import DEFAULT_TOLERANCE, IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, resolve_tolerance
 
 
 def random_hermitian(rng, n):
@@ -118,24 +124,6 @@ def test_von_neumann_entropy_checks_the_spectrum():
         von_neumann_entropy(np.diag([1.002, -0.0008, -0.0008, -0.0004]), tol=1e-3)
 
 
-def test_general_eigenvalues_diagonal():
-    rng = np.random.default_rng(3)
-    d = rng.normal(size=4) + 1j * rng.normal(size=4)
-    vals = general_eigenvalues_4x4(np.diag(d))
-    assert np.max(np.abs(np.sort_complex(vals) - np.sort_complex(d))) < 1e-12
-    with pytest.raises(DomainError):
-        general_eigenvalues_4x4(np.eye(2))
-
-
-def test_general_eigenvalues_match_hermitian():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        m = random_hermitian(rng, 4)
-        general = np.sort(general_eigenvalues_4x4(m).real)[::-1]
-        hermitian = hermitian_eigenvalues(m)
-        assert np.max(np.abs(general - hermitian)) < 1e-10
-
-
 def test_von_neumann_entropy_values():
     assert von_neumann_entropy(np.eye(4) / 4.0) == 2.0
     ket = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
@@ -169,7 +157,7 @@ def test_partial_trace_product_states():
     for _ in range(25):
         rho = random_density(rng, 2)
         sigma = random_density(rng, 2)
-        joint = kronecker(rho, sigma)
+        joint = np.kron(rho, sigma)
         assert np.max(np.abs(partial_trace(joint, "B") - rho)) < 1e-12
         assert np.max(np.abs(partial_trace(joint, "A") - sigma)) < 1e-12
 
@@ -186,22 +174,6 @@ def test_partial_trace_preserves_trace_and_hermiticity():
         partial_trace(np.eye(4) / 4.0, "C")
     with pytest.raises(DomainError):
         partial_trace(np.eye(2), "A")
-
-
-def test_kronecker_identity_and_projector():
-    assert np.array_equal(kronecker(IDENTITY_2, IDENTITY_2), np.eye(4))
-    # projector onto |0> on side A, lifted: diag(1, 1, 0, 0)
-    pi0 = 0.5 * (IDENTITY_2 + PAULI_Z)
-    assert np.allclose(kronecker(pi0, IDENTITY_2), np.diag([1.0, 1.0, 0.0, 0.0]))
-    # index convention: (A x B)[2i+j, 2k+l] = A[i,k] B[j,l]
-    a = np.arange(4.0).reshape(2, 2)
-    b = np.arange(4.0, 8.0).reshape(2, 2)
-    full = kronecker(a, b)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    assert full[2 * i + j, 2 * k + l] == a[i, k] * b[j, l]
 
 
 def test_no_module_rebinds_a_global():
@@ -225,8 +197,77 @@ def test_each_input_check_has_one_home():
         "differs from 1 beyond tolerance",
         "%s is not Hermitian within tolerance",
         "alpha must be finite and non-negative",
-        "expected a %s matrix, got shape",
+        "%s must have shape %s, got shape",
         "must be an integer in [",
+        "tolerance must be finite and positive",
     ):
         assert source.count(message) == 1, message
-    assert "expected a 4x4 matrix" not in source
+    for message in (
+        "expected a 4x4 matrix",
+        "expected a %s matrix",
+        "WMatrix must be 2x2",
+        "ket must have 4 amplitudes",
+        "%s must be 2x2",
+        "expected a 4x4 density matrix or a stack of them",
+    ):
+        assert message not in source, message
+
+
+def test_shape_errors_name_the_argument_and_the_shapes():
+    cases = [
+        (lambda: is_hermitian(np.eye(3)), "matrix must have shape 2x2 or 4x4, got shape (3, 3)"),
+        (lambda: partial_trace(np.eye(2), "A"), "matrix must have shape 4x4, got shape (2, 2)"),
+        (lambda: qcorr.concurrence_mixed(np.eye(2) / 2.0), "matrix must have shape 4x4, got shape (2, 2)"),
+        (lambda: WMatrix(np.eye(3)), "WMatrix must have shape 2x2, got shape (3, 3)"),
+        (lambda: WMatrix.from_ket(np.ones((2, 2))), "ket must have shape 4, got shape (2, 2)"),
+        (lambda: qcorr.qd_numeric(np.eye(2)), "rho must have shape 4x4 or Kx4x4, got shape (2, 2)"),
+        (lambda: qcorr.qd_numeric(np.ones((2, 4, 4, 1))), "got shape (2, 4, 4, 1)"),
+    ]
+    for call, message in cases:
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value).endswith(message), str(info.value)
+
+
+def test_every_tolerance_is_finite_and_positive():
+    assert resolve_tolerance(None) == DEFAULT_TOLERANCE
+    assert resolve_tolerance(1e-3) == 1e-3
+    for bad in (0.0, -1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="tolerance must be finite and positive"):
+            resolve_tolerance(bad)
+    # once these returned 0.3333, a matrix with a negative diagonal entry, a
+    # range error that misquoted the range, and the level cap with a warning
+    psi = random_pure_state(seed=3)
+    spec = DeformationSpec("poschl_teller", N=10)
+    for call in (
+        lambda: qd_werner(5.0, tol=math.inf),
+        lambda: gwl(psi, 2.0, tol=math.inf),
+        lambda: mixing_after_measurement(0.5, 0.3, tol=-1),
+        lambda: select_nmax(spec, 0.65, "A", tol=math.nan),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="tolerance must be finite and positive"):
+                call()
+
+
+def test_the_public_surface_is_this_list():
+    # adding or removing an export is a deliberate edit of this list
+    names = {
+        name
+        for name, value in vars(qcorr).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert names == {
+        "ConcurrenceResult", "DeformationSpec", "DiscordBreakdown", "DomainError", "EXCHANGE",
+        "MeasurementDirection", "NumericError", "PostMeasurement", "QuasiBellSpec", "WMatrix",
+        "binary_entropy", "coherent_coefficients", "concurrence_gwl_analytic",
+        "concurrence_mixed", "concurrence_pure", "concurrence_quasi_bell", "concurrence_werner",
+        "displacement_validity", "entropy_gwl", "eof_from_concurrence", "eof_werner", "gwl",
+        "hard_nmax", "hermitian_eigenvalues", "is_hermitian", "lifted_projector",
+        "local_unitary", "luders_update", "mixing_after_measurement", "overlap",
+        "partial_trace", "pure_density", "qd_gwl", "qd_gwl_analytic", "qd_numeric",
+        "qd_werner", "quasi_bell_wmatrix", "random_pure_state", "reduced_entropy_gwl",
+        "reduced_from_wmatrix", "select_nmax", "spin_flip", "swap_qubits",
+        "von_neumann_entropy", "werner",
+    }

@@ -10,7 +10,6 @@ from qcorr import (
     WMatrix,
     gwl,
     hermitian_eigenvalues,
-    kronecker,
     local_unitary,
     partial_trace,
     pure_density,
@@ -87,8 +86,9 @@ def test_wmatrix_text_round_trip():
     rng = np.random.default_rng(23)
     for seed in range(10):
         psi = random_pure_state(seed=seed)
-        again = WMatrix.from_text(psi.to_text())
-        assert np.max(np.abs(again.matrix - psi.matrix)) < 1e-15
+        # each amplitude written as its repr, "(re+imj)", reads back exactly
+        again = WMatrix.from_text(" ".join(repr(z) for z in psi.ket.tolist()))
+        assert np.array_equal(again.matrix, psi.matrix)
     parsed = WMatrix.from_text("0.0+0.0j 0.7071067811865476+0.0j -0.7071067811865476+0.0j 0.0+0.0j")
     assert np.max(np.abs(parsed.matrix - PHI_MINUS.matrix)) < 1e-15
 
@@ -185,7 +185,7 @@ def test_spin_flip():
         # involution
         assert np.max(np.abs(spin_flip(spin_flip(rho)) - rho)) < 1e-12
         # GWL maps to the GWL of the flipped pure state
-        flipped_ket = kronecker(PAULI_Y, PAULI_Y) @ psi.ket.conj()
+        flipped_ket = np.kron(PAULI_Y, PAULI_Y) @ psi.ket.conj()
         psi_flipped = WMatrix.from_ket(flipped_ket)
         assert np.max(np.abs(spin_flip(rho) - gwl(psi_flipped, 0.45))) < 1e-12
 
@@ -236,7 +236,7 @@ def test_local_unitary():
         u_a, u_b = random_unitary(rng), random_unitary(rng)
         rotated = local_unitary(psi, u_a, u_b)
         # W -> U_A W U_B^T is the W-matrix form of (U_A x U_B)|psi>
-        direct = kronecker(u_a, u_b) @ psi.ket
+        direct = np.kron(u_a, u_b) @ psi.ket
         assert np.max(np.abs(rotated.ket - direct)) < 1e-12
         # |det W| is preserved
         assert abs(abs(rotated.determinant()) - abs(psi.determinant())) < 1e-12
@@ -244,6 +244,19 @@ def test_local_unitary():
         local_unitary(psi, np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
     with pytest.raises(DomainError):
         local_unitary(psi, np.eye(2), 2.0 * np.eye(2))
+
+
+def test_local_unitary_names_a_nan_factor():
+    # NaN fails the unitarity test; it once passed it and failed later as
+    # "state norm tr(W W+) = nan is not 1"
+    psi = random_pure_state(seed=1)
+    nan_u = np.array([[1.0, 0.0], [0.0, np.nan]])
+    with pytest.raises(DomainError, match="U_A is not unitary"):
+        local_unitary(psi, nan_u, np.eye(2))
+    with pytest.raises(DomainError, match="U_B is not unitary"):
+        local_unitary(psi, np.eye(2), nan_u)
+    with pytest.raises(DomainError, match="U_B must have shape 2x2, got shape"):
+        local_unitary(psi, np.eye(2), np.eye(3))
 
 
 def test_swap_qubits():
@@ -255,6 +268,6 @@ def test_swap_qubits():
         rho_a /= np.trace(rho_a).real
         rho_b = b @ b.conj().T
         rho_b /= np.trace(rho_b).real
-        swapped = swap_qubits(kronecker(rho_a, rho_b))
-        assert np.max(np.abs(swapped - kronecker(rho_b, rho_a))) < 1e-12
-        assert np.max(np.abs(swap_qubits(swapped) - kronecker(rho_a, rho_b))) < 1e-14
+        swapped = swap_qubits(np.kron(rho_a, rho_b))
+        assert np.max(np.abs(swapped - np.kron(rho_b, rho_a))) < 1e-12
+        assert np.max(np.abs(swap_qubits(swapped) - np.kron(rho_a, rho_b))) < 1e-14
