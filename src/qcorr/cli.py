@@ -32,6 +32,7 @@ from .deformed import (
     FAMILIES,
     DeformationSpec,
     QuasiBellSpec,
+    _wmatrix_from_overlap,
     overlap,
     quasi_bell_wmatrix,
     select_nmax,
@@ -177,7 +178,7 @@ def _deformed_psi(spec, args, alpha=None, kind=None):
 
 
 def build_state(args, tol):
-    """Resolve the state flags to (kind, psi or None, deformation spec or None)."""
+    """Resolve the state flags to (kind, psi or None, overlap s or None)."""
     if args.kind == "werner":
         return "werner", None, None
     if args.kind == "gwl":
@@ -197,8 +198,8 @@ def build_state(args, tol):
     # the parser admits no other kind than deformed
     if args.alpha is None:
         raise UsageError("--alpha is required for deformed states")
-    spec = _deformation_spec(args)
-    return "deformed", _deformed_psi(spec, args), spec
+    s = overlap(_deformation_spec(args), args.alpha, args.deformed_kind)
+    return "deformed", _wmatrix_from_overlap(s, args.sign), s
 
 
 def cmd_sweep(args):
@@ -232,8 +233,15 @@ def cmd_verify(args):
     return 0
 
 
-def _bisect(g, lo, hi, tol, label):
-    g_lo, g_hi = g(lo), g(hi)
+def _bisect(g, lo, hi, tol, label, levels=1, ends=None):
+    """Bisect the sign change of g, which maps a list of points to values, on [lo, hi].
+
+    Each g call takes the midpoints of the next ``levels`` steps as a heap (node k
+    halves into nodes 2k + 1, 2k + 2), each 0.5 * (lo + hi) of its parent's half, and
+    the walk steps by the one-point rules: the root is the same float. ``ends`` are
+    g(lo), g(hi) if known. Adjacent floats lo, hi also stop the walk.
+    """
+    g_lo, g_hi = g([lo, hi]) if ends is None else ends
     if g_lo == 0.0 and g_hi == 0.0:
         raise NumericError(
             "%s is zero at both ends of [%g, %g]; no isolated crossing" % (label, lo, hi)
@@ -247,15 +255,21 @@ def _bisect(g, lo, hi, tol, label):
             "%s does not change sign on [%g, %g] (endpoint values %g, %g)"
             % (label, lo, hi, g_lo, g_hi)
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
+    tree, node = [], 0
+    while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
+        if node >= len(tree):
+            edges, tree, node = np.array([lo, hi]), [], 0
+            for _ in range(levels):
+                tree += (0.5 * (edges[:-1] + edges[1:])).tolist()
+                edges = np.insert(edges, range(1, edges.size), tree[1 - edges.size :])
+            values = g(tree)
+        mid, g_mid = tree[node], values[node]
         if g_mid == 0.0:
             return mid
         if (g_mid > 0.0) == (g_lo > 0.0):
-            lo, g_lo = mid, g_mid
+            lo, g_lo, node = mid, g_mid, 2 * node + 2
         else:
-            hi = mid
+            hi, node = mid, 2 * node + 1
     return 0.5 * (lo + hi)
 
 
@@ -271,19 +285,20 @@ def cmd_crossover(args):
         if args.alpha is None:
             raise UsageError("--functional p-crossing needs --alpha")
         c = concurrence_pure(_deformed_psi(_deformation_spec(args), args))
-        # scan downward from p = 1 for the highest sign change
+        # scan down from p = 1 for the highest sign change; 8 levels bisect it in 3 calls
         p_sep = 1.0 / (1.0 + 2.0 * c)
         scan = [1.0 - 1e-9]
         p = 1.0 - 1e-3
         while p > p_sep + 1e-6:
             scan.append(p)
             p -= 1e-3
-        positive = _eof_minus_qd(c, scan) > 0.0
-        change = np.flatnonzero(positive[:-1] != positive[1:])
+        gaps = _eof_minus_qd(c, scan)
+        change = np.flatnonzero(np.diff(gaps > 0.0))
         if change.size == 0:
             raise NumericError("EoF - QD does not change sign below p = 1 for this state")
         i = int(change[0])
-        root = _bisect(lambda p: _eof_minus_qd(c, p), scan[i + 1], scan[i], 1e-10, "EoF - QD")
+        g = functools.partial(_eof_minus_qd, c)
+        root = _bisect(g, scan[i + 1], scan[i], 1e-10, "EoF - QD", levels=8, ends=gaps[[i + 1, i]])
         print("crossover pair=eof-qd functional=p-crossing alpha=%r p=%r" % (args.alpha, root))
         print(
             "note: p-crossing reports the largest mixing parameter where the "
@@ -316,7 +331,7 @@ def cmd_crossover(args):
 
         label = "max over p of QD(coherent) - QD(A)"
 
-    root = _bisect(g, args.alpha_lo, args.alpha_hi, root_tol, label)
+    root = _bisect(lambda a: list(map(g, a)), args.alpha_lo, args.alpha_hi, root_tol, label)
     print("crossover pair=%s functional=alpha-max-p alpha=%r" % (args.pair, root))
     print(
         "note: alpha-max-p bisects alpha on the sign of [%s] over the p grid "
@@ -327,13 +342,13 @@ def cmd_crossover(args):
 
 def cmd_state_info(args):
     tol = args.tol
-    kind, psi, spec = build_state(args, tol)
+    kind, psi, s = build_state(args, tol)
     rho = werner(args.p, tol) if kind == "werner" else gwl(psi, args.p, tol)
     conc, qd = _closed_forms(kind, psi, args.p, tol)
     if kind != "werner":
         print("pure-state concurrence: %s" % _fmt(concurrence_pure(psi)))
         if kind == "deformed":
-            print("overlap s: %s" % _fmt(overlap(spec, args.alpha, args.deformed_kind)))
+            print("overlap s: %s" % _fmt(s))
     eof = eof_from_concurrence(conc, tol)
     eigs = hermitian_eigenvalues(rho, tol)
     print("eigenvalues: %s" % ", ".join(_fmt(v) for v in eigs))

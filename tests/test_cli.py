@@ -1,3 +1,4 @@
+import functools
 import math
 import shlex
 import warnings
@@ -5,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qcorr import (
     DeformationSpec,
@@ -378,6 +381,20 @@ def test_deformed_levels_are_capped_before_any_ket_is_built(monkeypatch, capsys)
     assert "n_max must be an integer in [0, 100000]" in capsys.readouterr().err
 
 
+def test_deformed_state_info_builds_one_ket(monkeypatch, capsys):
+    # the state and the "overlap s" line share one ket; it was built twice
+    calls = []
+    real = deformed_module.coherent_coefficients
+    monkeypatch.setattr(deformed_module, "coherent_coefficients", lambda *a: calls.append(a) or real(*a))
+    argv = [
+        "state-info", "--kind", "deformed", "--family", "poschl-teller", "--N", "10",
+        "--nmax", "9", "--alpha", "0.65", "--deformed-kind", "A", "--p", "0.5",
+    ]
+    assert main(argv) == 0
+    assert "overlap s: " in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_state_info_asks_for_p_before_building_a_state(monkeypatch, capsys):
     # the exciton at kappa = 1e-6 once built a 100,001-level ket before it
     # reported the missing --p
@@ -436,11 +453,160 @@ def test_crossover_identical_states_exit_3(capsys):
 
 
 def test_bisect_endpoints():
-    assert _bisect(lambda a: a - 1.0, 1.0, 2.0, 1e-6, "g") == 1.0
-    assert _bisect(lambda a: a - 2.0, 1.0, 2.0, 1e-6, "g") == 2.0
-    assert abs(_bisect(lambda a: a - 1.25, 1.0, 2.0, 1e-9, "g") - 1.25) < 1e-9
+    # g maps a list of points to their values
+    assert _bisect(lambda a: np.subtract(a, 1.0), 1.0, 2.0, 1e-6, "g") == 1.0
+    assert _bisect(lambda a: np.subtract(a, 2.0), 1.0, 2.0, 1e-6, "g") == 2.0
+    assert abs(_bisect(lambda a: np.subtract(a, 1.25), 1.0, 2.0, 1e-9, "g") - 1.25) < 1e-9
     with pytest.raises(NumericError, match="zero at both ends"):
-        _bisect(lambda a: 0.0, 1.0, 2.0, 1e-6, "g")
+        _bisect(lambda a: np.zeros(len(a)), 1.0, 2.0, 1e-6, "g")
+
+
+# --- blocked bisection against the one-step bisection it replaced ---------
+#
+# _serial_bisect is _bisect as it stood when it evaluated one point per
+# call of g, kept verbatim as the frozen reference. The blocked _bisect
+# must return the same float (==) at every level count and tolerance.
+def _serial_bisect(g, lo, hi, tol, label):
+    g_lo, g_hi = g(lo), g(hi)
+    if g_lo == 0.0 and g_hi == 0.0:
+        raise NumericError(
+            "%s is zero at both ends of [%g, %g]; no isolated crossing" % (label, lo, hi)
+        )
+    if g_lo == 0.0:
+        return lo
+    if g_hi == 0.0:
+        return hi
+    if (g_lo > 0.0) == (g_hi > 0.0):
+        raise NumericError(
+            "%s does not change sign on [%g, %g] (endpoint values %g, %g)"
+            % (label, lo, hi, g_lo, g_hi)
+        )
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        g_mid = g(mid)
+        if g_mid == 0.0:
+            return mid
+        if (g_mid > 0.0) == (g_lo > 0.0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _affine(slope, root):
+    # one function for a scalar (the reference) and a list of points
+    return lambda x: slope * (np.asarray(x, dtype=float) - root)
+
+
+@st.composite
+def _affine_cases(draw):
+    lo = float(draw(st.integers(-8, 8)))
+    hi = lo + 2.0 ** draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        # a dyadic root is a bisection midpoint, where g is exactly 0.0
+        depth = draw(st.integers(1, 30))
+        root = lo + (hi - lo) * draw(st.integers(1, 2**depth - 1)) / 2**depth
+    else:
+        root = draw(st.floats(lo, hi, exclude_min=True, exclude_max=True))
+    slope = draw(st.sampled_from([-3.0, -1e-3, 0.7, 1e5]))
+    return _affine(slope, root), lo, hi
+
+
+@st.composite
+def _eof_minus_qd_cases(draw):
+    # the p-crossing's own bracket: the highest sign change of its scan
+    c = draw(st.floats(0.05, 0.95))
+    scan = [1.0 - 1e-9] + [1.0 - 1e-3 * k for k in range(1, 1000)]
+    scan = [p for p in scan if p > 1.0 / (1.0 + 2.0 * c) + 1e-6]
+    change = np.flatnonzero(np.diff(cli._eof_minus_qd(c, scan) > 0.0))
+    assume(change.size > 0)
+    i = int(change[0])
+    return (lambda p: cli._eof_minus_qd(c, p)), scan[i + 1], scan[i]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    case=st.one_of(_affine_cases(), _eof_minus_qd_cases()),
+    levels=st.integers(1, 10),
+    depth=st.integers(0, 40),
+    scale=st.sampled_from([0.75, 1.0]),
+    given_ends=st.booleans(),
+)
+def test_blocked_bisect_equals_the_one_step_reference(case, levels, depth, scale, given_ends):
+    g, lo, hi = case
+    # the walk stops at every depth of a block, also where tol equals the width
+    tol = (hi - lo) * scale * 2.0**-depth
+    ends = (g(lo), g(hi)) if given_ends else None
+    expected = _serial_bisect(g, lo, hi, tol, "g")
+    assert _bisect(g, lo, hi, tol, "g", levels, ends) == expected
+
+
+@pytest.mark.parametrize("levels", [1, 8])
+def test_blocked_bisect_keeps_the_reference_errors(levels):
+    for g, match in [(lambda x: np.zeros(np.shape(x)), "zero at both ends"),
+                     (_affine(1.0, 5.0), "does not change sign")]:
+        for bisect in (_serial_bisect, functools.partial(_bisect, levels=levels)):
+            with pytest.raises(NumericError, match=match):
+                bisect(g, 1.0, 2.0, 1e-6, "g")
+
+
+@pytest.mark.parametrize("levels", [1, 4])
+def test_bisect_stops_at_adjacent_floats(levels):
+    # a bracket of adjacent floats is still wider than tol = 1e-300; a step
+    # there changes neither end, and the search once never returned
+    points = []
+
+    def g(xs):
+        points.extend(xs)
+        if len(points) > 2000:
+            raise AssertionError("bisection did not stop")
+        return [1.0 if x > 0.3 else -1.0 for x in xs]
+
+    root = _bisect(g, 0.0, 1.0, 1e-300, "g", levels)
+    assert root in (0.3, math.nextafter(0.3, 1.0))
+
+
+P_CROSSING_STATES = [
+    ["--family", "harmonic", "--nmax", "20"],
+    ["--family", "poschl-teller", "--N", "10", "--nmax", "9"],
+    ["--family", "morse", "--N", "10", "--nmax", "3"],
+    ["--family", "exciton", "--kappa", "0.3", "--nmax", "5"],
+]
+
+
+@pytest.mark.parametrize("state", P_CROSSING_STATES)
+def test_p_crossing_evaluates_the_gap_once_per_block(state, monkeypatch, capsys):
+    # one call for the scan and one per 8-level block of the 24 steps; the
+    # one-point bisection made 27
+    sizes = []
+    real = cli._eof_minus_qd
+
+    def counting(c, p):
+        sizes.append(np.size(p))
+        return real(c, p)
+
+    monkeypatch.setattr(cli, "_eof_minus_qd", counting)
+    argv = ["crossover", "--functional", "p-crossing", "--alpha", "0.65", "--deformed-kind", "A"]
+    assert main(argv + state) == 0
+    capsys.readouterr()
+    assert len(sizes) <= 4, sizes
+    assert sizes[1:] == [255] * (len(sizes) - 1)
+
+
+def test_alpha_max_p_makes_one_g_call_per_step(monkeypatch, capsys):
+    # each g call builds two kets, so alpha-max-p bisects one alpha at a time:
+    # two ends, then one per halving of [1.0, 1.6] down to 1e-4
+    calls = []
+    real = cli.qd_gwl
+    monkeypatch.setattr(cli, "qd_gwl", lambda c, p, tol=None: calls.append(c) or real(c, p, tol))
+    argv = [
+        "crossover", "--pair", "coherent-vs-a", "--family", "poschl-teller", "--N", "10",
+        "--nmax", "9", "--alpha-lo", "1.0", "--alpha-hi", "1.6", "--p-step", "0.02",
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    steps = math.ceil(math.log2(0.6 / 1e-4))
+    assert len(calls) == 2 * (2 + steps)
 
 
 def test_non_finite_input_is_rejected(capsys):
