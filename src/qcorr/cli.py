@@ -37,13 +37,8 @@ from .deformed import (
     quasi_bell_wmatrix,
     select_nmax,
 )
-from .discord import qd_gwl, qd_numeric, qd_werner
-from .entanglement import (
-    concurrence_gwl_analytic,
-    concurrence_pure,
-    concurrence_werner,
-    eof_from_concurrence,
-)
+from .discord import _gwl_kernel, qd_gwl, qd_numeric, qd_werner
+from .entanglement import concurrence_pure, concurrence_werner, eof_from_concurrence
 from .linalg import (
     DomainError,
     NumericError,
@@ -103,11 +98,11 @@ def _p_range(args, kind):
 
 
 def _closed_forms(kind, psi, p, tol):
-    """(concurrence, qd) of the state at p, a scalar or a whole grid."""
+    """(concurrence, EoF, qd) of the state at p, a scalar or a whole grid."""
     if kind == "werner":
-        return concurrence_werner(p, tol), qd_werner(p, tol)
-    c_pure = concurrence_pure(psi)
-    return concurrence_gwl_analytic(c_pure, p, tol), qd_gwl(c_pure, p, tol)
+        conc = concurrence_werner(p, tol)
+        return conc, eof_from_concurrence(conc, tol), qd_werner(p, tol)
+    return _gwl_kernel(concurrence_pure(psi), p, tol, rows=3)
 
 
 def compute_rows(args, oracle, tol):
@@ -119,11 +114,10 @@ def compute_rows(args, oracle, tol):
     """
     kind, psi, _ = build_state(args, tol)
     ps = _p_range(args, kind)[2]
-    conc, qd = _closed_forms(kind, psi, ps, tol)
-    eof = eof_from_concurrence(conc, tol)
+    conc, eof, qd = _closed_forms(kind, psi, ps, tol)
     columns = {"p": ps, "eof": eof.tolist(), "qd_analytic": qd.tolist()}
     if oracle:
-        rhos = [werner(p, tol) if kind == "werner" else gwl(psi, p, tol) for p in ps]
+        rhos = werner(ps, tol) if kind == "werner" else gwl(psi, ps, tol)
         qn = qd_numeric(rhos, grid_n=args.grid, tol=tol)
         columns["qd_numeric"] = qn.tolist()
         columns["residual"] = (np.abs(qd - qn) / np.maximum(np.abs(qd), RESIDUAL_FLOOR)).tolist()
@@ -258,10 +252,10 @@ def _bisect(g, lo, hi, tol, label, levels=1, ends=None):
     tree, node = [], 0
     while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
         if node >= len(tree):
-            edges, tree, node = np.array([lo, hi]), [], 0
+            edges, tree, node = [lo, hi], [], 0
             for _ in range(levels):
-                tree += (0.5 * (edges[:-1] + edges[1:])).tolist()
-                edges = np.insert(edges, range(1, edges.size), tree[1 - edges.size :])
+                tree += [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
+                edges = sorted(edges + tree[1 - len(edges) :])
             values = g(tree)
         mid, g_mid = tree[node], values[node]
         if g_mid == 0.0:
@@ -274,11 +268,11 @@ def _bisect(g, lo, hi, tol, label, levels=1, ends=None):
 
 
 def _eof_minus_qd(c_pure, p):
-    return eof_from_concurrence(concurrence_gwl_analytic(c_pure, p)) - qd_gwl(c_pure, p)
+    return np.subtract(*_gwl_kernel(c_pure, p, None, rows=3)[1:])  # EoF - QD
 
 
 def cmd_crossover(args):
-    root_tol = DEFAULT_ROOT_TOL if args.tol is None else args.tol
+    tol = args.tol or (1e-10 if args.functional == "p-crossing" else DEFAULT_ROOT_TOL)
     if args.functional == "p-crossing":
         if args.pair != "eof-qd":
             raise UsageError("--functional p-crossing only applies to --pair eof-qd")
@@ -298,7 +292,7 @@ def cmd_crossover(args):
             raise NumericError("EoF - QD does not change sign below p = 1 for this state")
         i = int(change[0])
         g = functools.partial(_eof_minus_qd, c)
-        root = _bisect(g, scan[i + 1], scan[i], 1e-10, "EoF - QD", levels=8, ends=gaps[[i + 1, i]])
+        root = _bisect(g, scan[i + 1], scan[i], tol, "EoF - QD", levels=8, ends=gaps[[i + 1, i]])
         print("crossover pair=eof-qd functional=p-crossing alpha=%r p=%r" % (args.alpha, root))
         print(
             "note: p-crossing reports the largest mixing parameter where the "
@@ -331,7 +325,7 @@ def cmd_crossover(args):
 
         label = "max over p of QD(coherent) - QD(A)"
 
-    root = _bisect(lambda a: list(map(g, a)), args.alpha_lo, args.alpha_hi, root_tol, label)
+    root = _bisect(lambda a: list(map(g, a)), args.alpha_lo, args.alpha_hi, tol, label)
     print("crossover pair=%s functional=alpha-max-p alpha=%r" % (args.pair, root))
     print(
         "note: alpha-max-p bisects alpha on the sign of [%s] over the p grid "
@@ -344,12 +338,11 @@ def cmd_state_info(args):
     tol = args.tol
     kind, psi, s = build_state(args, tol)
     rho = werner(args.p, tol) if kind == "werner" else gwl(psi, args.p, tol)
-    conc, qd = _closed_forms(kind, psi, args.p, tol)
+    conc, eof, qd = _closed_forms(kind, psi, args.p, tol)
     if kind != "werner":
         print("pure-state concurrence: %s" % _fmt(concurrence_pure(psi)))
         if kind == "deformed":
             print("overlap s: %s" % _fmt(s))
-    eof = eof_from_concurrence(conc, tol)
     eigs = hermitian_eigenvalues(rho, tol)
     print("eigenvalues: %s" % ", ".join(_fmt(v) for v in eigs))
     print("concurrence: %s" % _fmt(conc))

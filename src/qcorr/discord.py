@@ -19,15 +19,15 @@ conditional entropy is
     sum_m (1 -+ p d)/2 * H2((1 + x_m)/2),   d = sqrt(1 - C^2),
 
 with C the concurrence of the pure component. Every GWL closed form
-here (total, reduced and conditional entropies, x0/x1, discord) is
-therefore a plain numpy function of (C, p) alone, taking scalars or
-broadcastable arrays: a scalar call returns a Python float, and an
-array call returns elementwise the same values. Measuring side A or
-side B gives the same numbers because the two reduced states of a pure
-state share one spectrum, (1 +- sqrt(1 - C^2))/2, so the reduced
-entropies and the Bloch-vector length d agree. ``qd_gwl_analytic``
-reads d itself from the measured side's reduced Bloch vector, which
-keeps x0, x1 and the amplitude precise where C rounds to just below 1.
+(entropies, x0/x1, discord, and the GWL concurrence and EoF) wraps one
+private kernel of (C, p), scalars or broadcastable arrays: it checks C
+and p once per call and takes the entropies of each block of up to 2048
+points from one stacked xlog2x pass. A scalar call returns a Python
+float. Both reduced states of a pure state share one spectrum,
+(1 +- sqrt(1 - C^2))/2, so side A and side B give the same reduced
+entropies, Bloch-vector length d and values. ``qd_gwl_analytic`` reads
+d from the measured side's reduced Bloch vector, which keeps x0, x1 and
+the amplitude precise where C rounds to just below 1.
 
 ``qd_numeric`` is the independent check: a brute-force search over
 measurement directions for any two-qubit state, with no closed form on
@@ -139,6 +139,9 @@ _PHI_SIGNS = np.array([0.0, 0.0, 1.0, -1.0])
 # treated as empty and contribute zero to entropy averages.
 BRANCH_EPS = 1e-14
 
+# Points per block of the GWL closed forms: a long grid keeps one block's temporaries.
+_GWL_BLOCK = 2048
+
 
 @dataclass(frozen=True)
 class MeasurementDirection:
@@ -194,8 +197,7 @@ def entropy_gwl(p, tol=None):
     Depends on p only; the eigenvalues are (1 + 3p)/4 and (1 - p)/4
     (threefold) regardless of the pure component.
     """
-    p = check_range(p, *GWL_RANGE, "GWL mixing parameter", tol)
-    return float_or_array(2.0 - 3.0 * xlog2x(1.0 - p) / 4.0 - xlog2x(1.0 + 3.0 * p) / 4.0)
+    return float_or_array(_gwl_kernel(0.0, p, tol, rows=4)[3])
 
 
 def lifted_projector(direction, m, partition="A"):
@@ -263,27 +265,41 @@ def mixing_after_measurement(p, prob_pi, tol=None):
     return float_or_array(p * prob_pi / branch)
 
 
-def _gwl_closed_forms(c_pure, p, tol, d=None):
-    # (total, reduced, conditional entropy, x0, x1, d) on validated,
-    # clamped and broadcast (C, p), with d = sqrt(1 - C^2) unless the
-    # caller has d itself
-    c_pure = check_range(c_pure, 0.0, 1.0, "pure-state concurrence", tol)
+def _gwl_kernel(c_pure, p, tol, d=None, rows=8):
+    # the first `rows` of (concurrence, EoF, discord, total, reduced and conditional
+    # entropy, x0, x1) of GWL states in the broadcast shape of C and p, each checked
+    # once; d is sqrt(1 - C^2) unless given. p runs flat in blocks of _GWL_BLOCK
+    # points, and so do C and d unless they are one number
+    c = check_range(c_pure, 0.0, 1.0, "pure-state concurrence", tol)
     p = check_range(p, *GWL_RANGE, "GWL mixing parameter", tol)
-    if d is None:
-        d = np.sqrt(1.0 - c_pure * c_pure)
-    pd = p * d
-    # the x0 branch has probability (1 - p d)/2, which vanishes only at
-    # p = 1, d = 1; there the branch is empty and x0 is immaterial
-    # (its entropy is weighted by zero)
-    den0 = 1.0 - pd
-    empty = den0 <= BRANCH_EPS
-    x0 = np.where(empty, 1.0, p * (1.0 - d) / np.where(empty, 1.0, den0))
-    x1 = p * (1.0 + d) / (1.0 + pd)
-    cond = den0 / 2.0 * binary_entropy((1.0 + x0) / 2.0, tol) + (
-        1.0 + pd
-    ) / 2.0 * binary_entropy((1.0 + x1) / 2.0, tol)
-    s_red = binary_entropy((1.0 + pd) / 2.0, tol)
-    return entropy_gwl(p, tol), s_red, cond, x0, x1, d
+    dd = np.sqrt(1.0 - c * c) if d is None else np.float64(d)
+    shape = np.broadcast_shapes(c.shape, dd.shape, p.shape)
+    ops = [np.broadcast_to(a, shape).ravel() if a.ndim or not p.ndim else a for a in (c, dd, p)]
+    out = np.empty((rows,) + shape)
+    signs = np.array([[-1.0], [1.0]])  # the two measurement branches, as rows
+    for k in (slice(i, i + _GWL_BLOCK) for i in range(0, out[0].size, _GWL_BLOCK)):
+        c, dd, q = (a[k] if a.ndim else a for a in ops)
+        conc = np.maximum(0.0, q * c - (1.0 - q) / 2.0)
+        pd = q * dd
+        # 1 -+ p d is twice a branch's weight and x its mixing weight. The x0 branch
+        # vanishes only at p = 1, d = 1; there x0 is immaterial (weighted by zero)
+        den = 1.0 + signs * pd
+        empty = den <= BRANCH_EPS
+        x = np.where(empty, 1.0, q * (1.0 + signs * dd) / np.where(empty, 1.0, den))
+        # one xlog2x pass: the H2 arguments of EoF, x0, x1, reduced state; 1 - them; 1 - p, 1 + 3p
+        u = np.empty((10, q.size))
+        u[0], u[1:3], u[3], u[8], u[9] = np.sqrt(1.0 - conc * conc), x, pd, 1.0 - q, 1.0 + 3.0 * q
+        u[:4] = (1.0 + u[:4]) / 2.0
+        if not (u[:4].min() >= 0.0 and u[:4].max() <= 1.0):
+            u[:4] = check_range(u[:4], 0.0, 1.0, "binary_entropy argument", tol)
+        u[4:8] = 1.0 - u[:4]
+        terms = xlog2x(u)
+        h = -(terms[:4] + terms[4:8])
+        total = 2.0 - 3.0 * terms[8] / 4.0 - terms[9] / 4.0
+        cond = den[0] / 2.0 * h[1] + den[1] / 2.0 * h[2]
+        forms = (conc, h[0], h[3] - total + cond, total, h[3], cond, x[0], x[1])
+        out.reshape(rows, -1)[:, k] = forms[:rows]
+    return out + 0.0  # -0.0 reads 0.0, as in float_or_array
 
 
 def reduced_entropy_gwl(c_pure, p, tol=None):
@@ -291,7 +307,7 @@ def reduced_entropy_gwl(c_pure, p, tol=None):
 
     The reduced eigenvalues are (1 +- p sqrt(1 - c^2))/2.
     """
-    return float_or_array(_gwl_closed_forms(c_pure, p, tol)[1])
+    return float_or_array(_gwl_kernel(c_pure, p, tol, rows=5)[4])
 
 
 def qd_werner(p, tol=None):
@@ -316,8 +332,7 @@ def qd_gwl(c_pure, p, tol=None):
 
     the same for measurements on either side.
     """
-    total, s_red, cond, _, _, _ = _gwl_closed_forms(c_pure, p, tol)
-    return float_or_array(s_red - total + cond)
+    return float_or_array(_gwl_kernel(c_pure, p, tol, rows=3)[2])
 
 
 def qd_gwl_analytic(psi, p, partition="A", tol=None):
@@ -339,8 +354,8 @@ def qd_gwl_analytic(psi, p, partition="A", tol=None):
     reduced = reduced_from_wmatrix(psi, partition)
     r00, r11 = reduced[0, 0].real, reduced[1, 1].real
     d = min(1.0, math.hypot(r00 - r11, 2.0 * abs(reduced[0, 1])) / (r00 + r11))
-    parts = _gwl_closed_forms(concurrence_pure(psi), p, tol, d)
-    total, s_red, cond, x0, x1, d = (float_or_array(v) for v in parts)
+    parts = _gwl_kernel(concurrence_pure(psi), p, tol, d)[3:]
+    total, s_red, cond, x0, x1 = map(float_or_array, parts)
     return DiscordBreakdown(
         total_entropy=total,
         reduced_entropy_A=s_red,
@@ -350,7 +365,7 @@ def qd_gwl_analytic(psi, p, partition="A", tol=None):
         discord=s_red - total + cond,
         x0=x0,
         x1=x1,
-        amplitude=d / 2.0,
+        amplitude=float(d) / 2.0,
     )
 
 

@@ -17,12 +17,12 @@ EoF is the usual binary-entropy function of the concurrence. Values are
 clipped only after full floating-point evaluation; no epsilon padding.
 
 The closed forms depend on the pure component only through its
-concurrence C and on the mixing parameter p (or on p alone for Werner
-states), so they are plain numpy functions of (C, p) that take scalars
-or broadcastable arrays: a scalar call returns a Python float. Nothing
-in them depends on which side is measured or traced out, because the
-two reduced states of a pure state share one spectrum,
-(1 +- sqrt(1 - C^2))/2.
+concurrence C and on p, so they are plain numpy functions of (C, p)
+that take scalars or broadcastable arrays (a scalar call returns a
+Python float). ``concurrence_gwl_analytic`` wraps the GWL kernel in
+``discord``, which checks C and p once per call and gives the GWL EoF
+and discord from the same pass. No side is special: both reduced
+states share the spectrum (1 +- sqrt(1 - C^2))/2.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .linalg import (
     float_or_array,
     resolve_tolerance,
 )
-from .states import _SPIN_FLIP_CONJ, GWL_RANGE, WERNER_RANGE, spin_flip
+from .states import _SPIN_FLIP_CONJ, WERNER_RANGE, spin_flip
 
 
 @dataclass(frozen=True)
@@ -129,9 +129,8 @@ def concurrence_gwl_analytic(c_pure, p, tol=None):
         max{0, p c_pure - (1 - p)/2}; zero exactly for
         p <= 1/(1 + 2 c_pure).
     """
-    c_pure = check_range(c_pure, 0.0, 1.0, "pure-state concurrence", tol)
-    p = check_range(p, *GWL_RANGE, "GWL mixing parameter", tol)
-    return float_or_array(np.maximum(0.0, p * c_pure - (1.0 - p) / 2.0))
+    from .discord import _gwl_kernel  # discord imports this module
+    return float_or_array(_gwl_kernel(c_pure, p, tol, rows=1)[0])
 
 
 def concurrence_werner(p, tol=None):

@@ -136,7 +136,8 @@ def xlog2x(u):
     """u log2 u elementwise, with 0 log 0 = 0 (and 0 for u <= 0)."""
     u = np.asarray(u, dtype=float)
     pos = u > 0.0
-    return np.where(pos, u * np.log2(np.where(pos, u, 1.0)), 0.0)
+    out = np.where(pos, u, 1.0)
+    return np.multiply(np.log2(out, out=out), u, out=out, where=pos)
 
 
 def binary_entropy(x, tol=None):

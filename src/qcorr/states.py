@@ -126,17 +126,17 @@ def werner(p, tol=None):
     """Werner state (1 - p)/4 * I4 + p/2 * F4 for p in [-1, 1/3].
 
     Pure only at p = -1 (the singlet projector); maximally mixed at
-    p = 0; separable on [-1/3, 1/3].
+    p = 0; separable on [-1/3, 1/3]. An array of p gives their stack.
     """
-    p = float(p)
+    p = np.asarray(p, dtype=float)[..., None, None]
     # validated only: the matrix is built from p as given
     check_range(p, *WERNER_RANGE, "Werner mixing parameter", tol)
     return (1.0 - p) / 4.0 * np.eye(4, dtype=complex) + p / 2.0 * EXCHANGE
 
 
 def gwl(psi, p, tol=None):
-    """Generalized Werner-like state (1 - p)/4 * I4 + p |psi><psi|."""
-    p = float(p)
+    """Generalized Werner-like state (1 - p)/4 * I4 + p |psi><psi|; a stack for an array p."""
+    p = np.asarray(p, dtype=float)[..., None, None]
     check_range(p, *GWL_RANGE, "GWL mixing parameter", tol)
     return (1.0 - p) / 4.0 * np.eye(4, dtype=complex) + p * pure_density(psi)
 

@@ -1,6 +1,7 @@
 import functools
 import math
 import shlex
+import sys
 import warnings
 from pathlib import Path
 
@@ -30,8 +31,11 @@ from qcorr import (
 from qcorr import cli
 from qcorr import deformed as deformed_module
 from qcorr import discord as discord_module
+from qcorr import linalg as linalg_module
 from qcorr.cli import UsageError, _bisect, _diagonal_wmatrix, csv_text, main, p_grid
 from qcorr.deformed import MAX_NMAX, select_nmax
+from qcorr.linalg import check_range
+from qcorr.states import EXCHANGE, GWL_RANGE, WERNER_RANGE, pure_density
 
 
 def wmatrix_text(psi):
@@ -607,6 +611,94 @@ def test_alpha_max_p_makes_one_g_call_per_step(monkeypatch, capsys):
     capsys.readouterr()
     steps = math.ceil(math.log2(0.6 / 1e-4))
     assert len(calls) == 2 * (2 + steps)
+
+
+def _count_range_checks(monkeypatch):
+    # every check_range call, by what it checks, under each name it is bound to
+    calls = []
+    real = linalg_module.check_range
+
+    def counting(x, lo, hi, what, tol=None):
+        calls.append(what)
+        return real(x, lo, hi, what, tol)
+
+    for name, module in list(sys.modules.items()):
+        if name == "qcorr" or name.startswith("qcorr."):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counting)
+    return calls
+
+
+def test_closed_forms_check_c_and_p_once_per_call(monkeypatch, capsys):
+    # the chain of public functions checked them 10 times per gap; a
+    # p-crossing command made 40 checks
+    calls = _count_range_checks(monkeypatch)
+    once = ["pure-state concurrence", "GWL mixing parameter"]
+    for call in (lambda: cli._eof_minus_qd(0.6, [0.9, 0.95]), lambda: qd_gwl(0.6, 0.9)):
+        calls.clear()
+        call()
+        assert calls == once
+    calls.clear()
+    argv = [
+        "crossover", "--functional", "p-crossing", "--family", "poschl-teller", "--N", "10",
+        "--nmax", "9", "--alpha", "0.65", "--deformed-kind", "A",
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert 0 < len(calls) <= 8, calls
+
+
+def test_p_crossing_bisects_to_the_given_tol(capsys):
+    # --tol is the p-crossing's root width; without it the width is 1e-10
+    argv = ["crossover", "--functional", "p-crossing", "--family", "harmonic", "--nmax", "20", "--alpha", "1.0"]
+
+    def root(extra):
+        assert main(argv + extra) == 0
+        return float(capsys.readouterr().out.splitlines()[0].rsplit("=", 1)[1])
+
+    fine = root([])
+    assert root(["--tol", "1e-10"]) == fine
+    coarse = root(["--tol", "1e-3"])
+    assert coarse != fine and abs(coarse - fine) <= 1e-3
+    assert abs(root(["--tol", "1e-6"]) - fine) <= 1e-6
+
+
+# werner and gwl as they stood when each call built one state from one p,
+# kept verbatim as the per-row reference for the oracle's stack
+def _frozen_werner(p, tol=None):
+    p = float(p)
+    # validated only: the matrix is built from p as given
+    check_range(p, *WERNER_RANGE, "Werner mixing parameter", tol)
+    return (1.0 - p) / 4.0 * np.eye(4, dtype=complex) + p / 2.0 * EXCHANGE
+
+
+def _frozen_gwl(psi, p, tol=None):
+    p = float(p)
+    check_range(p, *GWL_RANGE, "GWL mixing parameter", tol)
+    return (1.0 - p) / 4.0 * np.eye(4, dtype=complex) + p * pure_density(psi)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        ["--kind", "werner", "--p-step", "0.01"],
+        ["--kind", "gwl", "--concurrence", "0.37", "--p-step", "0.013"],
+        ["--kind", "deformed", "--family", "morse", "--N", "10", "--nmax", "3", "--alpha", "0.8",
+         "--deformed-kind", "D", "--p-start", "-0.3", "--p-step", "0.05"],
+    ],
+)
+def test_oracle_stack_equals_the_per_row_states(state, monkeypatch, capsys):
+    # the sweep's oracle stack is one broadcast over the p grid; each of its
+    # matrices is the bytes that werner(p) or gwl(psi, p) built row by row
+    stacks = []
+    monkeypatch.setattr(cli, "qd_numeric", lambda rho, **kw: stacks.append(rho) or np.zeros(len(rho)))
+    assert main(["sweep", "--oracle"] + state) == 0
+    ps = [float(line.split(",")[0]) for line in capsys.readouterr().out.splitlines()[1:]]
+    kind, psi, _ = cli.build_state(cli.build_parser().parse_args(["sweep"] + state), None)
+    rows = [_frozen_werner(p) if kind == "werner" else _frozen_gwl(psi, p) for p in ps]
+    assert len(stacks) == 1 and stacks[0].shape == (len(ps), 4, 4)
+    assert stacks[0].tobytes() == np.array(rows).tobytes()
 
 
 def test_non_finite_input_is_rejected(capsys):
