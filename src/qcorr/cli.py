@@ -3,9 +3,10 @@
 Commands
 --------
 sweep       EoF and QD curves over the mixing parameter, as CSV.
-verify      Re-run a sweep with the numeric oracle and report the worst
-            relative residual; exits 2 when it exceeds the threshold.
-crossover   Bisect for the alpha (or p) where two quantities cross.
+verify      Re-run a sweep with the oracle always on (no --oracle flag) and
+            report the worst relative residual; exits 2 above the threshold.
+crossover   Bisect for the alpha (or p) where two quantities cross, on a
+            deformed state only and without the oracle's flags.
 state-info  Eigenvalues, concurrence and entropies of one state.
 
 A sweep is a table of named float columns over the p grid:
@@ -13,9 +14,10 @@ A sweep is a table of named float columns over the p grid:
 oracle. Its CSV is deterministic: the names as header, one row per grid
 point in ascending p, round-trip float precision, LF line endings, UTF-8.
 
-Exit codes: 0 success, 1 usage or domain error (an unreadable --wmatrix
-or unwritable --out file is a usage error), 2 verification failure,
-3 numeric failure (including a bracket without sign change).
+Exit codes: 0 success, 1 usage or domain error (a state flag of another
+--kind, an unreadable --wmatrix or an unwritable --out file is a usage
+error), 2 verification failure, 3 numeric failure (including a bracket
+without sign change).
 """
 
 from __future__ import annotations
@@ -31,10 +33,8 @@ import numpy as np
 from .deformed import (
     FAMILIES,
     DeformationSpec,
-    QuasiBellSpec,
     _wmatrix_from_overlap,
     overlap,
-    quasi_bell_wmatrix,
     select_nmax,
 )
 from .discord import _gwl_kernel, qd_gwl, qd_numeric, qd_werner
@@ -161,18 +161,13 @@ def _deformation_spec(args):
     return spec
 
 
-def _deformed_psi(spec, args, alpha=None, kind=None):
-    qb = QuasiBellSpec(
-        spec=spec,
-        alpha=args.alpha if alpha is None else alpha,
-        kind=args.deformed_kind if kind is None else kind,
-        sign=args.sign,
-    )
-    return quasi_bell_wmatrix(qb)
-
-
 def build_state(args, tol):
     """Resolve the state flags to (kind, psi or None, overlap s or None)."""
+    # a flag of another kind would be dropped; --deformed-kind and --sign have defaults
+    for kind, names in (("gwl", "wmatrix concurrence"), ("deformed", "family N kappa alpha nmax")):
+        for name in names.split():
+            if args.kind != kind and getattr(args, name, None) is not None:
+                raise UsageError("--%s does not apply to --kind %s" % (name, args.kind))
     if args.kind == "werner":
         return "werner", None, None
     if args.kind == "gwl":
@@ -278,7 +273,7 @@ def cmd_crossover(args):
             raise UsageError("--functional p-crossing only applies to --pair eof-qd")
         if args.alpha is None:
             raise UsageError("--functional p-crossing needs --alpha")
-        c = concurrence_pure(_deformed_psi(_deformation_spec(args), args))
+        c = concurrence_pure(build_state(args, None)[1])
         # scan down from p = 1 for the highest sign change; 8 levels bisect it in 3 calls
         p_sep = 1.0 / (1.0 + 2.0 * c)
         scan = [1.0 - 1e-9]
@@ -308,8 +303,8 @@ def cmd_crossover(args):
         )
     spec = _deformation_spec(args)
 
-    def concurrence_at(alpha, kind=None):
-        return concurrence_pure(_deformed_psi(spec, args, alpha=alpha, kind=kind))
+    def concurrence_at(alpha, kind=args.deformed_kind):
+        return concurrence_pure(_wmatrix_from_overlap(overlap(spec, alpha, kind), args.sign))
 
     if args.pair == "eof-qd":
 
@@ -364,33 +359,33 @@ def finite_positive(text):
     return value
 
 
-def _add_state_flags(sp):
-    sp.add_argument("--kind", choices=("werner", "gwl", "deformed"), default="werner")
-    sp.add_argument("--wmatrix", help="file with four complex amplitudes, row-major")
-    sp.add_argument(
-        "--concurrence",
-        type=float,
-        help="build the canonical diagonal pure state with this concurrence",
-    )
+def _add_flags(sp, kinds=("werner", "gwl", "deformed"), oracle=True, grid=True, p_range=True):
+    """The shared flags a command reads: a state of ``kinds``, the oracle's, --tol, --p-*."""
+    sp.add_argument("--kind", choices=kinds, default=kinds[0])
+    if "gwl" in kinds:
+        sp.add_argument("--wmatrix", help="file with four complex amplitudes, row-major")
+        sp.add_argument(
+            "--concurrence",
+            type=float,
+            help="build the canonical diagonal pure state with this concurrence",
+        )
     # the library's family names, spelt with "-" for "_"
     sp.add_argument("--family", choices=tuple(f.replace("_", "-") for f in FAMILIES))
     sp.add_argument("--N", type=int, help="trap depth / bound-state count")
     sp.add_argument("--kappa", type=float, help="Lamb-Dicke-like parameter")
     sp.add_argument("--alpha", type=float, help="coherent amplitude (non-negative)")
-    sp.add_argument(
-        "--nmax", type=int, help="truncation level (default: chosen by select_nmax)"
-    )
+    sp.add_argument("--nmax", type=int, help="truncation level (default: chosen by select_nmax)")
     sp.add_argument("--deformed-kind", choices=("C", "A", "D"), default="C")
     sp.add_argument("--sign", choices=("plus", "minus"), default="plus")
-    sp.add_argument("--oracle", action="store_true", help="also run the numeric oracle")
-    sp.add_argument("--grid", type=int, default=64, help="oracle polar grid count")
+    if oracle:
+        sp.add_argument("--oracle", action="store_true", help="also run the numeric oracle")
+    if grid:
+        sp.add_argument("--grid", type=int, default=64, help="oracle polar grid count")
     sp.add_argument("--tol", type=finite_positive, help="tolerance, threshold or root width")
-
-
-def _add_range_flags(sp):
-    sp.add_argument("--p-start", type=float)
-    sp.add_argument("--p-stop", type=float)
-    sp.add_argument("--p-step", type=float, default=DEFAULT_P_STEP)
+    if p_range:
+        sp.add_argument("--p-start", type=float)
+        sp.add_argument("--p-stop", type=float)
+        sp.add_argument("--p-step", type=float, default=DEFAULT_P_STEP)
 
 
 @functools.lru_cache(maxsize=None)
@@ -404,19 +399,16 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sp = sub.add_parser("sweep", help="write EoF/QD curves as CSV")
-    _add_state_flags(sp)
-    _add_range_flags(sp)
+    _add_flags(sp)
     sp.add_argument("--out", help="output path (default: stdout)")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("verify", help="compare analytic curves against the oracle")
-    _add_state_flags(sp)
-    _add_range_flags(sp)
+    _add_flags(sp, oracle=False)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("crossover", help="bisect where two quantities cross")
-    _add_state_flags(sp)
-    _add_range_flags(sp)
+    _add_flags(sp, kinds=("deformed",), oracle=False, grid=False)
     sp.add_argument("--pair", choices=("eof-qd", "coherent-vs-a"), default="eof-qd")
     sp.add_argument(
         "--functional",
@@ -430,7 +422,7 @@ def build_parser():
     sp.set_defaults(func=cmd_crossover)
 
     sp = sub.add_parser("state-info", help="print eigenvalues, concurrence, entropies")
-    _add_state_flags(sp)
+    _add_flags(sp, p_range=False)
     sp.add_argument("--p", type=float, required=True, help="mixing parameter")
     sp.set_defaults(func=cmd_state_info)
 

@@ -498,7 +498,7 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     # S(rho_M) - S(rho); rho_M = (R_00 I + a.sigma)/2 is a "branch" of
     # weight R_00 = 1 in the kernel's terms
     eig = np.clip(np.linalg.eigvalsh(stack), 0.0, 1.0)
-    s_total = -np.sum(eig * np.log2(eig, out=np.zeros_like(eig), where=eig > 0.0), axis=1)
+    s_total = -np.sum(xlog2x(eig), axis=1)
     offset = _branch_entropy(*(2.0 * corr[:, 0])) - s_total
 
     grid, thetas, phis = _direction_grid(grid_n)

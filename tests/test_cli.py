@@ -767,8 +767,9 @@ def test_parser_is_built_once_and_each_command_starts_from_the_defaults(monkeypa
 def test_tol_must_be_finite_and_positive(capsys):
     # parsing rejects the value before any command runs, in all four commands
     for command in ("sweep", "verify", "crossover", "state-info"):
+        state = [] if command == "crossover" else ["--kind", "werner"]
         for bad in ("nan", "inf", "0", "-1"):
-            assert main([command, "--kind", "werner", "--tol", bad]) == 1, (command, bad)
+            assert main([command] + state + ["--tol", bad]) == 1, (command, bad)
             err = capsys.readouterr().err
             assert "usage error" in err and "--tol" in err, (command, bad)
 
@@ -777,12 +778,86 @@ def test_crossover_rejects_an_empty_alpha_bracket(monkeypatch, capsys):
     def no_state(*args, **kwargs):
         raise AssertionError("a state was built for an empty bracket")
 
-    monkeypatch.setattr(cli, "quasi_bell_wmatrix", no_state)
+    monkeypatch.setattr(cli, "overlap", no_state)
     pt = ["crossover", "--pair", "coherent-vs-a", "--family", "poschl-teller", "--N", "10", "--nmax", "9"]
     for lo, hi in (("2", "1.2"), ("1.2", "1.2"), ("nan", "1.6"), ("1.0", "nan")):
         assert main(pt + ["--alpha-lo", lo, "--alpha-hi", hi]) == 1, (lo, hi)
         err = capsys.readouterr().err
         assert "usage error" in err and "--alpha-lo" in err, (lo, hi)
+
+
+def test_crossover_rejects_the_flags_it_does_not_read(tmp_path, monkeypatch, capsys):
+    # crossover takes a deformed state only and runs no oracle
+    def no_state(*args, **kwargs):
+        raise AssertionError("a state was built for a rejected flag")
+
+    monkeypatch.setattr(cli, "overlap", no_state)
+    path = tmp_path / "psi.txt"
+    path.write_text("1 0 0 0\n")
+    argv = ["crossover", "--functional", "p-crossing", "--family", "harmonic", "--nmax", "20", "--alpha", "1.0"]
+    for extra, flag in (
+        (["--kind", "werner"], "--kind"),
+        (["--kind", "gwl"], "--kind"),
+        (["--wmatrix", str(path)], "--wmatrix"),
+        (["--concurrence", "0.3"], "--concurrence"),
+        (["--oracle"], "--oracle"),
+        (["--grid", "9"], "--grid"),
+    ):
+        assert main(argv + extra) == 1, extra
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error:") and flag in err, (extra, err)
+
+
+def test_verify_has_no_oracle_switch(capsys):
+    # verify always runs the oracle
+    assert main(["verify", "--kind", "werner", "--p-step", "0.5", "--oracle"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error:") and "--oracle" in err
+
+
+def test_a_state_flag_of_another_kind_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # a stray flag must not leave the default --kind werner to run on without it
+    def no_state(*args, **kwargs):
+        raise AssertionError("a state was built for a stray flag")
+
+    monkeypatch.setattr(cli, "overlap", no_state)
+    monkeypatch.chdir(tmp_path)  # w.txt does not exist: the check runs before it is read
+    gwl_flags = [["--wmatrix", "w.txt"], ["--concurrence", "0.9"]]
+    deformed_flags = [
+        ["--family", "morse"], ["--N", "10"], ["--kappa", "0.3"], ["--alpha", "1"], ["--nmax", "9"],
+    ]
+    cases = [("werner", extra) for extra in gwl_flags + deformed_flags]
+    cases += [("gwl", ["--concurrence", "0.5"] + extra) for extra in deformed_flags]
+    cases += [("deformed", ["--family", "harmonic", "--nmax", "9", "--alpha", "1"] + extra)
+              for extra in (["--wmatrix", "w.txt"], ["--concurrence", "0.2"])]
+    for kind, extra in cases:
+        stray = extra[-2]
+        for command in (["sweep", "--p-step", "0.5"], ["verify", "--p-step", "0.5"], ["state-info", "--p", "0.2"]):
+            assert main(command + ["--kind", kind] + extra) == 1, (command, kind, extra)
+            out, err = capsys.readouterr()
+            assert out == "", (command, kind, extra)
+            assert err == "usage error: %s does not apply to --kind %s\n" % (stray, kind)
+
+
+def test_each_command_takes_this_list_of_flags():
+    # adding a flag to a command that does not read it is a deliberate edit of this list
+    state = ["--kind", "--wmatrix", "--concurrence", "--family", "--N", "--kappa", "--alpha",
+             "--nmax", "--deformed-kind", "--sign"]
+    p_range = ["--p-start", "--p-stop", "--p-step"]
+    expected = {
+        "sweep": state + ["--oracle", "--grid", "--tol"] + p_range + ["--out"],
+        "verify": state + ["--grid", "--tol"] + p_range,
+        "crossover": ["--kind"] + state[3:] + ["--tol"] + p_range
+        + ["--pair", "--functional", "--alpha-lo", "--alpha-hi"],
+        "state-info": state + ["--oracle", "--grid", "--tol", "--p"],
+    }
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    assert set(commands) == set(expected)
+    for name, sp in commands.items():
+        flags = [opt for action in sp._actions for opt in action.option_strings if opt != "-h"]
+        assert flags == ["--help"] + expected[name], name
+        kinds = next(action.choices for action in sp._actions if action.dest == "kind")
+        assert kinds == (("deformed",) if name == "crossover" else ("werner", "gwl", "deformed"))
 
 
 def test_non_finite_alpha_exits_1(capsys):
