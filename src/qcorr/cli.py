@@ -118,7 +118,7 @@ def compute_rows(args, oracle, tol):
     columns = {"p": ps, "eof": eof.tolist(), "qd_analytic": qd.tolist()}
     if oracle:
         rhos = werner(ps, tol) if kind == "werner" else gwl(psi, ps, tol)
-        qn = qd_numeric(rhos, grid_n=args.grid, tol=tol)
+        qn = qd_numeric(rhos, grid_n=_grid(args), tol=tol)
         columns["qd_numeric"] = qn.tolist()
         columns["residual"] = (np.abs(qd - qn) / np.maximum(np.abs(qd), RESIDUAL_FLOOR)).tolist()
         columns["concurrence"] = conc.tolist()
@@ -161,8 +161,16 @@ def _deformation_spec(args):
     return spec
 
 
+def _grid(args):
+    # the oracle's grid_n: --grid, or 64 where it is not given
+    return 64 if args.grid is None else args.grid
+
+
 def build_state(args, tol):
     """Resolve the state flags to (kind, psi or None, overlap s or None)."""
+    # only the oracle reads --grid
+    if not getattr(args, "oracle", True) and args.grid is not None:
+        raise UsageError("--grid applies only with --oracle")
     # a flag of another kind would be dropped; --deformed-kind and --sign have defaults
     for kind, names in (("gwl", "wmatrix concurrence"), ("deformed", "family N kappa alpha nmax")):
         for name in names.split():
@@ -211,7 +219,7 @@ def cmd_verify(args):
     worst = max(residual)
     print(
         "verify: kind=%s points=%d grid=%d threshold=%g"
-        % (args.kind, len(residual), args.grid, threshold)
+        % (args.kind, len(residual), _grid(args), threshold)
     )
     # index() names the first row with the largest residual
     print("  max relative residual %.6e at p=%r" % (worst, columns["p"][residual.index(worst)]))
@@ -347,7 +355,7 @@ def cmd_state_info(args):
     print("eof: %s" % _fmt(eof))
     print("qd_analytic: %s" % _fmt(qd))
     if args.oracle:
-        print("qd_numeric: %s" % _fmt(qd_numeric(rho, grid_n=args.grid, tol=tol)))
+        print("qd_numeric: %s" % _fmt(qd_numeric(rho, grid_n=_grid(args), tol=tol)))
     return 0
 
 
@@ -380,7 +388,7 @@ def _add_flags(sp, kinds=("werner", "gwl", "deformed"), oracle=True, grid=True, 
     if oracle:
         sp.add_argument("--oracle", action="store_true", help="also run the numeric oracle")
     if grid:
-        sp.add_argument("--grid", type=int, default=64, help="oracle polar grid count")
+        sp.add_argument("--grid", type=int, help="oracle polar grid count")
     sp.add_argument("--tol", type=finite_positive, help="tolerance, threshold or root width")
     if p_range:
         sp.add_argument("--p-start", type=float)

@@ -49,34 +49,27 @@ two branches exactly, so n and -n give the same value bit for bit, and
 the grid covers only the half sphere phi in [0, pi).
 
 The search is a grid_n x grid_n direction grid, computed once per grid
-size and cached as its Bloch vectors and its two angle axes, followed
-by compass refinement down to 1e-9 radians. It takes one 4x4 matrix or
-a stack of K of them; a single matrix is a stack of one. The grid phase
-runs state by state, in chunks of at most 2^16 directions, keeping the
-first minimum. grid_n is capped at MAX_GRID_N, which bounds the grid at
-10^6 directions.
+size and cached as its Bloch vectors, followed by a Newton refine on the
+sphere. It takes one 4x4 matrix or a stack of K of them; a single matrix
+is a stack of one. The grid phase runs state by state, in chunks of at
+most 2^16 directions, keeping the first minimum's Bloch vector. grid_n is
+capped at MAX_GRID_N, which bounds the grid at 10^6 directions.
 
-The refine is a compass search: each poll tries the four moves
-(theta +- h_t, phi) and (theta, phi +- h_p), takes the best if it beats
-the current value, and otherwise halves both steps. A losing poll does
-not move the centre, so the next polls of a state, for as long as they
-lose, are the four moves at the halved steps h/2, h/4, ... about that
-same centre. Each kernel call therefore evaluates a block of them, the
-current steps and the next halvings, for every state of the stack still
-refining, and then replays the one-poll rule on the block: a state
-halves through each losing level and stops at the first winning one.
-Levels after a state has converged, or beyond its poll cap, are not
-used. Each state keeps its own best move, acceptance test, steps and
-poll count, so the search makes the same polls on the same directions
-as a search on that state alone, one poll at a time. The values are
-unchanged to the bit: the kernel is elementwise, and h times 0.5**f is
-exactly h halved f times.
-
-A block is up to 16 levels deep, and shallower while many states are
-still refining, which keeps a call near 1024 directions. Up to about
-that size a call's cost is mostly fixed overhead, beyond it mostly
-arithmetic, and a winning level leaves the deeper ones of its block
-unused.
+The refine moves Bloch vectors, not angles, so the poles of (theta, phi),
+where a search in those angles stalls or stops at a saddle, are ordinary
+points for it. Each round takes the values at 8 points h = 1e-4 rad from
+a state's direction n, along and between the two axes of a tangent frame
+at n, on great circles (the exponential map). With the value at n, this
+9-point stencil gives the gradient and Hessian in the tangent plane.
+Along each axis of the Hessian, the step is Newton's where the curvature
+is positive and that step is at most one grid spacing; elsewhere it is
+one grid spacing downhill, which leaves a saddle even where the gradient
+vanishes. The state moves to the largest of the fractions 1, 1/2, ...,
+2^-15 of the step that lowers its value, and stops once that move is
+under REFINE_TARGET or no fraction lowers the value. A round is two
+kernel calls, the stencils and then the line searches of every state
+still refining, and the kernel is elementwise, so a state's value does
+not depend on the rest of the stack, to the bit.
 """
 
 from __future__ import annotations
@@ -108,7 +101,7 @@ from .linalg import (
 )
 from .states import GWL_RANGE, WERNER_RANGE, reduced_from_wmatrix
 
-# Refinement stops once both angular steps drop below this (radians).
+# A state's refine stops once its Newton move falls below this (radians).
 REFINE_TARGET = 1e-9
 
 # Largest oracle grid_n: the half-sphere grid then holds 10^6 directions.
@@ -118,22 +111,13 @@ MAX_GRID_N = 1000
 # phase's temporaries; the default 64 x 64 grid stays one call.
 _GRID_CHUNK = 1 << 16
 
-# Compass polls per refine kernel call, at most: the four moves at the
-# current steps and at the next halvings, about one centre.
-_REFINE_LEVELS = 16
+# The refine's stencil as tangent coordinates (u1, u2), in radians: the four
+# axis points at spacing _STENCIL_H, then the four diagonal ones
+_STENCIL_H = 1e-4
+_STENCIL = _STENCIL_H * np.array([[1, -1, 0, 0, 1, 1, -1, -1], [0, 0, 1, -1, 1, -1, 1, -1]])
 
-# Refine directions per kernel call, across the states still refining. A
-# call's fixed cost is about that of 1000 directions of arithmetic, so a
-# few states poll _REFINE_LEVELS levels per call and a large stack fewer.
-_REFINE_BUDGET = 1024
-
-# 0.5**f for f = 0.._REFINE_LEVELS: exact powers of two, so h * _HALVINGS[f]
-# is h halved f times, bit for bit
-_HALVINGS = 0.5 ** np.arange(_REFINE_LEVELS + 1)
-
-# the four compass moves as multiples of (h_t, h_p)
-_THETA_SIGNS = np.array([1.0, -1.0, 0.0, 0.0])
-_PHI_SIGNS = np.array([0.0, 0.0, 1.0, -1.0])
+# The line search's fractions of a step, largest first: 1, 1/2, ..., 2^-15
+_FRACTIONS = 0.5 ** np.arange(16)
 
 # Measurement branches with probability at or below this weight are
 # treated as empty and contribute zero to entropy averages.
@@ -377,18 +361,24 @@ def _directions(theta, phi):
 
 @functools.lru_cache(maxsize=2)
 def _direction_grid(grid_n):
-    # the Bloch vectors of the flattened (theta, phi) half-sphere grid and
-    # its two axes; direction i * grid_n + j is (thetas[i], phis[j]), and
-    # every state measured on the same grid_n shares them. phi stops short
-    # of pi: (pi/2 - theta, phi + pi) is -n, which the kernel gives the
-    # same value as n
+    # the Bloch vectors of the flattened (theta, phi) half-sphere grid;
+    # direction i * grid_n + j is (thetas[i], phis[j]), and every state
+    # measured on the same grid_n shares them. phi stops short of pi:
+    # (pi/2 - theta, phi + pi) is -n, which the kernel gives the same value as n
     thetas = np.linspace(0.0, math.pi / 2.0, grid_n)
     phis = np.linspace(0.0, math.pi, grid_n, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
     n = _directions(tt.ravel(), pp.ravel())
-    for a in (n, thetas, phis):
-        a.flags.writeable = False
-    return n, thetas, phis
+    n.flags.writeable = False
+    return n
+
+
+def _exp_map(n, e1, e2, u):
+    # exp_n(u1 e1 + u2 e2) about each n of (3, A), along great circles, for tangent
+    # coordinates u of shape (2, M) or (2, A, M); np.sinc(r / pi) is sin(r)/r, 1 at 0
+    r = np.hypot(u[0], u[1])
+    v = e1[..., None] * u[0] + e2[..., None] * u[1]
+    return n[..., None] * np.cos(r) + v * np.sinc(r / np.pi)
 
 
 def _avg_conditional_entropy(corr, n):
@@ -397,12 +387,12 @@ def _avg_conditional_entropy(corr, n):
     ``corr[i, j]`` is R_ij = tr(rho sigma_i (x) sigma_j) with sigma_0 = I
     and ``n[0], n[1], n[2]`` are the Bloch components of the directions;
     their trailing axes broadcast: one state's entries, each of shape (1,),
-    against an (N,) chunk of the grid, or (A, 1) columns against (A, M)
-    compass moves. With a = R[1:, 0], b = R[0, 1:] and T = R[1:, 1:],
-    branch +- of the measurement has weight (R_00 +- n.a)/2, where
-    R_00 = tr rho = 1, and the unnormalized B-side Bloch vector
-    b +- T^T n. Negating n swaps the two branches exactly, so n and -n
-    give the same value, bit for bit.
+    against an (N,) chunk of the grid, or (A, 1) columns against the
+    (A, M) stencil or line-search points of A states. With a = R[1:, 0],
+    b = R[0, 1:] and T = R[1:, 1:], branch +- of the measurement has
+    weight (R_00 +- n.a)/2, where R_00 = tr rho = 1, and the unnormalized
+    B-side Bloch vector b +- T^T n. Negating n swaps the two branches
+    exactly, so n and -n give the same value, bit for bit.
     """
     # u = (n.a, T^T n) = sum_k n_k R[k, :], summed in the order k = 1, 2, 3;
     # rows (R_00, b) +- u, with -1.0 * u exactly -u, give (2 x weight,
@@ -447,18 +437,17 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     """Brute-force quantum discord by measurement minimization.
 
     A deterministic (theta, phi) grid of grid_n x grid_n points over
-    [0, pi/2] x [0, pi) seeds a compass search whose steps halve until
-    both fall below 1e-9 radians. Rank-1 projective measurements only;
+    [0, pi/2] x [0, pi) seeds Newton steps on the sphere, which stop once
+    a move falls below 1e-9 radians. Rank-1 projective measurements only;
     no closed-form shortcuts anywhere on this path. The half range of
     phi covers every direction up to sign, and a direction and its
     negative give the same value (see the module docstring).
 
     ``rho`` may be one 4x4 matrix or a stack of K of them. The grid
     phase runs state by state over one shared direction grid, and the
-    multi-level compass refine runs the whole stack together; the module
-    docstring gives the full account. A state's value does not depend on
-    the rest of the stack, to the bit. Measuring side B uses R
-    transposed.
+    refine runs the whole stack together; the module docstring gives the
+    full account. A state's value does not depend on the rest of the
+    stack, to the bit. Measuring side B uses R transposed.
 
     Parameters
     ----------
@@ -471,7 +460,7 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     grid_n : int
         Polar grid count, from 8 to ``MAX_GRID_N`` (1000).
     refine_iters : int
-        Cap on each state's refinement polls, at least 0. If a state has not
+        Cap on each state's Newton steps, at least 0. If a state has not
         converged after that many, NumericError is raised for the
         lowest-index such state, with its index attached as ``index``
         and the best value found as ``best_value``.
@@ -501,68 +490,67 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     s_total = -np.sum(xlog2x(eig), axis=1)
     offset = _branch_entropy(*(2.0 * corr[:, 0])) - s_total
 
-    grid, thetas, phis = _direction_grid(grid_n)
+    grid = _direction_grid(grid_n)
     best = np.empty(n)
-    bt = np.empty(n)
-    bp = np.empty(n)
+    bn = np.empty((3, n))
     for k in range(n):
         # the first minimum over the whole grid, chunk by chunk
         for s in range(0, grid.shape[1], _GRID_CHUNK):
             vals = _avg_conditional_entropy(corr[:, :, k, None], grid[:, s : s + _GRID_CHUNK])
             j = int(np.argmin(vals))
             if s == 0 or vals[j] < best[k]:
-                i, jp = divmod(s + j, grid_n)
-                best[k], bt[k], bp[k] = vals[j], thetas[i], phis[jp]
+                best[k], bn[:, k] = vals[j], grid[:, s + j]
 
-    h_t = np.full(n, thetas[1] - thetas[0])
-    h_p = np.full(n, phis[1] - phis[0])
-    polls = np.zeros(n, dtype=np.int64)
-    while True:
-        act = np.flatnonzero(
-            ((h_t >= REFINE_TARGET) | (h_p >= REFINE_TARGET)) & (polls < refine_iters)
-        )
+    # Newton steps on the sphere, every state still refining in each kernel call
+    spacing = math.pi / (grid_n - 1)  # the grid's arc between theta rows
+    h = _STENCIL_H
+    done = np.zeros(n, dtype=bool)
+    for _ in range(refine_iters):
+        act = np.flatnonzero(~done)
         if act.size == 0:
             break
-        # a losing poll only halves the steps, so while they lose, a state's
-        # next polls all centre on its current best: level f of the block
-        # holds the four moves of its poll polls + f
-        depth = min(_REFINE_LEVELS, max(1, _REFINE_BUDGET // (4 * act.size)))
-        ht = h_t[act, None] * _HALVINGS[:depth]
-        hp = h_p[act, None] * _HALVINGS[:depth]
-        # the moves (t0 + ht, t0 - ht, t0, t0) and (p0, p0, p0 + hp, p0 - hp),
-        # bit for bit: adding -h is subtracting h, and adding 0.0 changes no
-        # angle but -0.0, which the search never makes (x - x is +0.0)
-        move_t = bt[act, None, None] + ht[:, :, None] * _THETA_SIGNS
-        move_p = bp[act, None, None] + hp[:, :, None] * _PHI_SIGNS
-        shape = (act.size, 4 * depth)
-        mvals = _avg_conditional_entropy(
-            corr[:, :, act, None], _directions(move_t.reshape(shape), move_p.reshape(shape))
-        ).reshape(move_t.shape)
-        # replay the one-poll rule: levels past convergence or past the cap
-        # are never polled, and the first winning level ends the block
-        live = ((ht >= REFINE_TARGET) | (hp >= REFINE_TARGET)) & (
-            polls[act, None] + np.arange(depth) < refine_iters
-        )
-        vj = mvals.min(axis=2)
-        won = live & (vj < best[act, None])
-        hit = won.any(axis=1)
-        halved = np.where(hit, np.argmax(won, axis=1), live.sum(axis=1))
-        rows = np.flatnonzero(hit)
-        f = halved[rows]
-        jf = np.argmin(mvals[rows, f], axis=1)
-        best[act[rows]] = vj[rows, f]
-        bt[act[rows]] = move_t[rows, f, jf]
-        bp[act[rows]] = move_p[rows, f, jf]
-        h_t[act] *= _HALVINGS[halved]
-        h_p[act] *= _HALVINGS[halved]
-        polls[act] += halved + hit
+        x, f0 = bn[:, act], best[act]
+        # an orthonormal tangent frame (e1, e2) at each n, smooth across both
+        # poles (Duff et al., JCGT 6(1), 2017)
+        sz = np.where(x[2] >= 0.0, 1.0, -1.0)
+        a = -1.0 / (sz + x[2])
+        b = x[0] * x[1] * a
+        e1 = np.stack((1.0 + sz * x[0] * x[0] * a, sz * b, -sz * x[0]))
+        e2 = np.stack((b, sz + x[1] * x[1] * a, -x[1]))
+        f = _avg_conditional_entropy(corr[:, :, act, None], _exp_map(x, e1, e2, _STENCIL))
+        g = np.stack((f[:, 0] - f[:, 1], f[:, 2] - f[:, 3])) / (2.0 * h)
+        hxx = (f[:, 0] + f[:, 1] - 2.0 * f0) / (h * h)
+        hyy = (f[:, 2] + f[:, 3] - 2.0 * f0) / (h * h)
+        hxy = (f[:, 4] - f[:, 5] - f[:, 6] + f[:, 7]) / (4.0 * h * h)
+        # along each axis of the Hessian, a Newton step where the curvature is
+        # positive and the step is at most one grid spacing, else one grid
+        # spacing downhill: a saddle is left even where the gradient is zero
+        mid, rad = (hxx + hyy) / 2.0, np.hypot((hxx - hyy) / 2.0, hxy)
+        psi = 0.5 * np.arctan2(2.0 * hxy, hxx - hyy)
+        axes = np.array([[np.cos(psi), -np.sin(psi)], [np.sin(psi), np.cos(psi)]])
+        lam = np.stack((mid + rad, mid - rad))
+        gv = (axes * g[:, None]).sum(axis=0)
+        newton = np.abs(gv) <= spacing * lam
+        coef = np.where(newton, -gv / np.where(lam > 0.0, lam, 1.0), np.copysign(spacing, -gv))
+        step = (axes * coef).sum(axis=1)
+        # the largest fraction of the step that lowers the value, if any; a
+        # move under REFINE_TARGET, or none, ends the search
+        points = _exp_map(x, e1, e2, step[:, :, None] * _FRACTIONS)
+        vals = _avg_conditional_entropy(corr[:, :, act, None], points)
+        lower = vals < f0[:, None]
+        hit = lower.any(axis=1)
+        j = np.argmax(lower, axis=1)
+        rows = np.arange(act.size)
+        best[act] = np.where(hit, vals[rows, j], f0)
+        bn[:, act] = np.where(hit, points[:, rows, j], x)
+        done[act] = ~hit | (np.hypot(step[0], step[1]) * _FRACTIONS[j] < REFINE_TARGET)
 
-    unconverged = np.flatnonzero((h_t >= REFINE_TARGET) | (h_p >= REFINE_TARGET))
+    unconverged = np.flatnonzero(~done)
     if unconverged.size:
         k = int(unconverged[0])
         result = float(offset[k] + best[k])
         err = NumericError(
-            "measurement minimization%s did not reach %g rad in %d polls; "
+            "measurement minimization%s did not reach %g rad in %d Newton steps; "
             "best value %r"
             % ("" if single else " of state %d" % k, REFINE_TARGET, refine_iters, result)
         )

@@ -65,6 +65,47 @@ def test_p_grid_caps_the_point_count(capsys):
     assert "grid points" in capsys.readouterr().err
 
 
+def test_grid_without_oracle_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # only the oracle reads --grid; the check runs before any state is built
+    def no_state(*args, **kwargs):
+        raise AssertionError("a state was built for --grid without --oracle")
+
+    for name in ("werner", "gwl", "overlap"):
+        monkeypatch.setattr(cli, name, no_state)
+    monkeypatch.chdir(tmp_path)  # w.txt does not exist
+    states = (
+        ["--kind", "werner"],
+        ["--kind", "gwl", "--wmatrix", "w.txt"],
+        ["--kind", "deformed", "--family", "harmonic", "--nmax", "9", "--alpha", "1"],
+    )
+    for command in (["sweep", "--p-step", "0.5"], ["state-info", "--p", "0.2"]):
+        for state in states:
+            for grid in ("9", "5000"):
+                assert main(command + state + ["--grid", grid]) == 1, (command, state, grid)
+                out, err = capsys.readouterr()
+                assert out == "" and err == "usage error: --grid applies only with --oracle\n"
+
+
+# ROADMAP's near-pole GWL states, W = [[0.8, eps e^(i a)], [0, 0.6]] normalized,
+# as a --wmatrix file: the optimum lies within about eps of +-z
+NEAR_POLE_WMATRICES = {
+    "eps-5e-3": "0.7999900001874961+0j 0.004999937501171851j 0j 0.599992500140622+0j\n",
+    "eps-5e-4": "(0.7999999000000189+0j) (0.00024999996875000593+0.0004330126477656417j) 0j "
+    "(0.5999999250000141+0j)\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_POLE_WMATRICES))
+def test_oracle_passes_on_near_pole_states(name, tmp_path, capsys):
+    path = tmp_path / "w.txt"
+    path.write_text(NEAR_POLE_WMATRICES[name])
+    assert main(["verify", "--kind", "gwl", "--wmatrix", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("\nPASS\n")
+    assert main(["sweep", "--kind", "gwl", "--wmatrix", str(path), "--oracle", "--p-step", "0.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + 3 and all(float(line.split(",")[4]) < 1e-12 for line in lines[1:])
+
+
 def test_oracle_grid_flag_is_capped(monkeypatch, capsys):
     # an oversized --grid is refused before any direction grid is built
     def no_grid(grid_n):
@@ -760,7 +801,8 @@ def test_parser_is_built_once_and_each_command_starts_from_the_defaults(monkeypa
     capsys.readouterr()
     first, second = seen
     assert (first.tol, first.oracle, first.grid) == (1e-3, True, 16)
-    assert (second.tol, second.oracle, second.grid) == (None, False, 64)
+    # an absent --grid reads None: the oracle then takes 64
+    assert (second.tol, second.oracle, second.grid) == (None, False, None)
     assert vars(second) == vars(cli.build_parser.__wrapped__().parse_args(base))
 
 
