@@ -48,12 +48,12 @@ arithmetic alone, the same for every batch shape. Negating n swaps the
 two branches exactly, so n and -n give the same value bit for bit, and
 the grid covers only the half sphere phi in [0, pi).
 
-The search is a grid_n x grid_n direction grid, computed once per grid
-size and cached as its Bloch vectors, followed by a Newton refine on the
-sphere. It takes one 4x4 matrix or a stack of K of them; a single matrix
-is a stack of one. The grid phase runs state by state, in chunks of at
-most 2^16 directions, keeping the first minimum's Bloch vector. grid_n is
-capped at MAX_GRID_N, which bounds the grid at 10^6 directions.
+The search is a direction grid of grid_n theta rows, none spaced in phi
+wider than the equator's pi/grid_n (2594 directions at grid_n 64, 636,478
+at the cap MAX_GRID_N), cached per size, then a Newton refine on the
+sphere. It takes one 4x4 matrix or a stack of K; a single matrix is a
+stack of one. The grid phase runs state by state, in chunks of at most
+2^16 directions, keeping the first minimum's Bloch vector.
 
 The refine moves Bloch vectors, not angles, so the poles of (theta, phi),
 where a search in those angles stalls or stops at a saddle, are ordinary
@@ -104,11 +104,11 @@ from .states import GWL_RANGE, WERNER_RANGE, reduced_from_wmatrix
 # A state's refine stops once its Newton move falls below this (radians).
 REFINE_TARGET = 1e-9
 
-# Largest oracle grid_n: the half-sphere grid then holds 10^6 directions.
+# Largest oracle grid_n: the half-sphere grid then holds 636,478 directions.
 MAX_GRID_N = 1000
 
 # Grid directions per kernel call. At large grid_n this bounds the grid
-# phase's temporaries; the default 64 x 64 grid stays one call.
+# phase's temporaries; the default grid, 2594 directions, stays one call.
 _GRID_CHUNK = 1 << 16
 
 # The refine's stencil as tangent coordinates (u1, u2), in radians: the four
@@ -361,14 +361,13 @@ def _directions(theta, phi):
 
 @functools.lru_cache(maxsize=2)
 def _direction_grid(grid_n):
-    # the Bloch vectors of the flattened (theta, phi) half-sphere grid;
-    # direction i * grid_n + j is (thetas[i], phis[j]), and every state
-    # measured on the same grid_n shares them. phi stops short of pi:
-    # (pi/2 - theta, phi + pi) is -n, which the kernel gives the same value as n
+    # the Bloch vectors of the half-sphere grid, shared by every state: row i, at 2 theta =
+    # pi i/(grid_n - 1) from +z, holds m = ceil(grid_n sin 2theta) >= 1 azimuths phi = pi j/m,
+    # none wider spaced than the equator (1e-9 absorbs its round-off). phi < pi: -n has n's value
     thetas = np.linspace(0.0, math.pi / 2.0, grid_n)
-    phis = np.linspace(0.0, math.pi, grid_n, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    n = _directions(tt.ravel(), pp.ravel())
+    counts = np.maximum(1, np.ceil(grid_n * np.sin(2.0 * thetas) - 1e-9)).astype(int)
+    phis = np.concatenate([math.pi * np.arange(m) / m for m in counts])
+    n = _directions(np.repeat(thetas, counts), phis)
     n.flags.writeable = False
     return n
 
@@ -395,28 +394,33 @@ def _avg_conditional_entropy(corr, n):
     exactly, so n and -n give the same value, bit for bit.
     """
     # u = (n.a, T^T n) = sum_k n_k R[k, :], summed in the order k = 1, 2, 3;
-    # rows (R_00, b) +- u, with -1.0 * u exactly -u, give (2 x weight,
-    # Bloch vector) of the two branches
-    u = corr[1:] * n[:, None]
-    u = u[0] + u[1] + u[2]
-    if u.ndim == 2:
-        # a state against the grid: the same operations, one branch at a time,
-        # so glibc reuses the smaller temporaries instead of refaulting them
-        return _branch_entropy(*(corr[0] + u)) + _branch_entropy(*(corr[0] - u))
-    ent = _branch_entropy(*(corr[0, :, None] + np.multiply.outer((1.0, -1.0), u).swapaxes(0, 1)))
-    return ent[0] + ent[1]
+    # rows (R_00, b) +- u give (2 x weight, Bloch vector) of the two branches,
+    # one branch at a time, the second in u's own buffer
+    u = corr[1] * n[0]
+    u += corr[2] * n[1]
+    u += corr[3] * n[2]
+    ent = _branch_entropy(*(corr[0] + u))
+    ent += _branch_entropy(*np.subtract(corr[0], u, out=u))
+    return ent
 
 
 def _branch_entropy(s, x, y, z):
-    # weight times entropy of the branch state (s I + (x, y, z).sigma)/4:
-    # weight s/2, Bloch length r = |(x, y, z)|/s, eigenvalues (1 +- r)/2.
-    # A branch of weight at or below BRANCH_EPS contributes zero.
-    weight = 0.5 * s
-    r = np.minimum(np.sqrt(x * x + y * y + z * z) / np.maximum(s, BRANCH_EPS), 1.0)
-    hi = 0.5 + 0.5 * r
-    lo = 0.5 - 0.5 * r
-    log_lo = np.log2(lo, out=np.zeros_like(lo), where=lo > 0.0)
-    return np.where(weight > BRANCH_EPS, -weight * (hi * np.log2(hi) + lo * log_lo), 0.0)
+    # weight times entropy of the branch state (s I + (x, y, z).sigma)/4: weight s/2,
+    # Bloch length r = |(x, y, z)|/s, eigenvalues (1 +- r)/2; zero at weight <= BRANCH_EPS.
+    # The plain formulas' operations, in their order and mostly in place: the same bits
+    r = x * x
+    r += y * y
+    r += z * z
+    half = np.minimum(np.divide(np.sqrt(r, out=r), np.maximum(s, BRANCH_EPS), out=r), 1.0, out=r)
+    half *= 0.5  # r/2, once for both eigenvalues
+    hi = 0.5 + half
+    lo = np.subtract(0.5, half, out=half)
+    hi *= np.log2(hi)
+    lo *= np.log2(lo, out=np.zeros_like(lo), where=lo > 0.0)
+    hi += lo
+    hi *= -0.5 * s
+    hi[s <= 2.0 * BRANCH_EPS] = 0.0
+    return hi
 
 
 def _correlation_matrices(stack):
@@ -436,12 +440,13 @@ def _correlation_matrices(stack):
 def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     """Brute-force quantum discord by measurement minimization.
 
-    A deterministic (theta, phi) grid of grid_n x grid_n points over
-    [0, pi/2] x [0, pi) seeds Newton steps on the sphere, which stop once
-    a move falls below 1e-9 radians. Rank-1 projective measurements only;
-    no closed-form shortcuts anywhere on this path. The half range of
-    phi covers every direction up to sign, and a direction and its
-    negative give the same value (see the module docstring).
+    A deterministic grid over [0, pi/2] x [0, pi) in (theta, phi), grid_n
+    rows of theta with ceil(grid_n sin 2theta) values of phi each, seeds
+    Newton steps on the sphere, which stop once a move falls below 1e-9
+    radians. Rank-1 projective measurements only; no closed-form shortcuts
+    anywhere on this path. The half range of phi covers every direction up
+    to sign, and a direction and its negative give the same value (see the
+    module docstring).
 
     ``rho`` may be one 4x4 matrix or a stack of K of them. The grid
     phase runs state by state over one shared direction grid, and the
@@ -458,7 +463,7 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     partition : {"A", "B"}
         The measured side.
     grid_n : int
-        Polar grid count, from 8 to ``MAX_GRID_N`` (1000).
+        Number of theta rows of the grid, from 8 to ``MAX_GRID_N`` (1000).
     refine_iters : int
         Cap on each state's Newton steps, at least 0. If a state has not
         converged after that many, NumericError is raised for the

@@ -370,13 +370,14 @@ def _x_saddle():
 X_SADDLE = _x_saddle()
 
 
-def _x_state_discord_50_digits(rho, partition):
+def _x_state_discord_50_digits(rho, partition, margin=False):
     # For a real X state, T is diagonal and a, b lie along z, so at fixed nz
     # the two branches' squared Bloch lengths are affine in nx^2, with
     # ny^2 = 1 - nz^2 - nx^2. The binary entropy is concave in r^2, so the
     # minimum lies at nx = 0 or ny = 0, in the yz- or the xz-plane (Lu, Ma,
     # Xi and Wang, PRA 83, 012327 (2011)). A scan and a golden-section search
-    # over the polar angle in each plane find it at 50 digits
+    # over the polar angle in each plane find it at 50 digits. With margin,
+    # also how far it lies below the best of the x, y and z axes
     with mpmath.workdps(50):
         paulis = [np.eye(2), PAULI_X, PAULI_Y, PAULI_Z]
         r = mpmath.matrix(4, 4)
@@ -422,7 +423,10 @@ def _x_state_discord_50_digits(rho, partition):
         lam = mpmath.eigsy(mpmath.matrix(rho.real.tolist()))[0]
         s_total = -sum(x * mpmath.log(x, 2) for x in lam if x > 0)
         s_measured = h2(mpmath.sqrt(sum(r[k, 0] ** 2 for k in (1, 2, 3))))
-        return float(s_measured - s_total + best)
+        value = float(s_measured - s_total + best)
+        if margin:
+            return value, float(min(cond(axis) for axis in ([1, 0, 0], [0, 1, 0], [0, 0, 1])) - best)
+        return value
 
 
 @pytest.mark.parametrize("partition", ["A", "B"])
@@ -430,6 +434,48 @@ def test_qd_numeric_leaves_the_x_state_saddle_at_the_pole(partition):
     # the optimum lies off +-z in the yz-plane, 2.4e-7 bits below the pole
     exact = _x_state_discord_50_digits(X_SADDLE, partition)
     assert abs(qd_numeric(X_SADDLE, partition=partition) - exact) <= 1e-13
+
+
+def _real_x_states(rng, count):
+    # real X states: a Dirichlet(0.3) diagonal, which puts most weight on one
+    # or two levels, and rho_03, rho_12 anywhere that keeps rho positive
+    diag = rng.dirichlet(np.full(4, 0.3), size=count)
+    rho = np.zeros((count, 4, 4))
+    rho[:, range(4), range(4)] = diag
+    corner = rng.uniform(-1.0, 1.0, size=(2, count)) * np.sqrt(diag[:, [0, 1]] * diag[:, [3, 2]]).T
+    rho[:, 0, 3] = rho[:, 3, 0] = corner[0]
+    rho[:, 1, 2] = rho[:, 2, 1] = corner[1]
+    return rho
+
+
+@pytest.mark.parametrize("partition", ["A", "B"])
+def test_qd_numeric_finds_the_interior_optima_of_real_x_states(partition):
+    # A real X state's optimum lies in the xz- or the yz-plane, and for about
+    # one in a hundred of these draws it lies inside a plane, off every axis
+    # (Lu, Ma, Xi and Wang, PRA 83, 012327 (2011); Huang, PRA 88, 014302
+    # (2013)). Only the grid chooses that basin. A scan of both planes picks
+    # the candidates; the 50-digit search keeps those whose optimum beats the
+    # best axis by more than 1e-6 bits, and is the reference for them
+    rng = np.random.default_rng(83)
+    stack = _real_x_states(rng, 600)
+    corr = discord_module._correlation_matrices(stack)
+    if partition == "B":
+        corr = corr.swapaxes(0, 1)
+    # n = (sin t, 0, cos t), then (0, sin t, cos t): columns 0, 64 and 193 are z, x and y
+    t = np.linspace(0.0, math.pi, 129)
+    zero = np.zeros_like(t)
+    planes = np.concatenate(([np.sin(t), zero, np.cos(t)], [zero, np.sin(t), np.cos(t)]), axis=1)
+    vals = discord_module._avg_conditional_entropy(corr[:, :, :, None], np.repeat(planes[:, None], len(stack), axis=1))
+    candidates = np.flatnonzero(vals[:, [0, 64, 193]].min(axis=1) - vals.min(axis=1) > 5e-7)
+    kept, exact = [], []
+    for k in candidates:
+        value, margin = _x_state_discord_50_digits(stack[k], partition, margin=True)
+        if margin > 1e-6:
+            kept.append(stack[k])
+            exact.append(value)
+    assert len(kept) >= 3, len(kept)
+    error = np.abs(qd_numeric(np.array(kept), partition=partition) - exact)
+    assert np.max(error) <= 1e-13, error
 
 
 def _bits(eigs):
@@ -759,10 +805,11 @@ def test_refine_polls_several_halving_levels_per_kernel_call(monkeypatch):
     # step. No fraction lowers the isotropic Werner state's value, so it
     # stops after one round
     qd_numeric(werner(-0.5))
-    assert calls == [(3, 64 * 64), (3, 1, 8), (3, 1, 16)]
-    # a random-GWL stack: one grid call per state, then at most four rounds
+    assert calls == [(3, 2594), (3, 1, 8), (3, 1, 16)]
+    # a random-GWL stack: one grid call per state, then at most five rounds
     # for the whole stack, where the compass made one call per poll of its
-    # longest search
+    # longest search. The nearly pure state at p = 0.9989 takes the fifth:
+    # its last rounds lower its value by round-off alone
     rng = np.random.default_rng(5)
     psi = random_pure_state(seed=8)
     stack = np.array([gwl(psi, p) for p in rng.uniform(-1.0 / 3.0, 1.0, size=20)])
@@ -771,24 +818,25 @@ def test_refine_polls_several_halving_levels_per_kernel_call(monkeypatch):
     refine = calls[len(stack) :]
     assert refine[:2] == [(3, 20, 8), (3, 20, 16)]
     assert [shape[2] for shape in refine] == [8, 16] * (len(refine) // 2)
-    assert len(refine) <= 2 * 4
+    assert len(refine) <= 2 * 5
     del calls[:]
     _lockstep_qd_numeric(stack)
     assert len(calls) - len(stack) > 20
 
 
 def test_grid_phase_chunks_keep_the_first_minimum(monkeypatch):
-    # 300 x 300 = 90,000 directions span two chunks; tiny chunks split the
-    # default grid at many places, between directions that tie on the
-    # product and maximally mixed states
+    # grid_n 330 holds 69,286 directions, which span two chunks; tiny chunks
+    # split the default grid at many places, between directions that tie on
+    # the product and maximally mixed states
     stack = _mixed_stack()
-    assert 300 * 300 > discord_module._GRID_CHUNK
-    fine = {p: qd_numeric(stack, grid_n=300, partition=p) for p in "AB"}
+    size = discord_module._direction_grid(330).shape[1]
+    assert size == 69286 > discord_module._GRID_CHUNK
+    fine = {p: qd_numeric(stack, grid_n=330, partition=p) for p in "AB"}
     default = {p: qd_numeric(stack, partition=p) for p in "AB"}
-    assert np.max(np.abs(fine["A"] - _lockstep_qd_numeric(stack, grid_n=300))) <= SERIAL_BOUND
-    monkeypatch.setattr(discord_module, "_GRID_CHUNK", 300 * 300)
+    assert np.max(np.abs(fine["A"] - _lockstep_qd_numeric(stack, grid_n=330))) <= SERIAL_BOUND
+    monkeypatch.setattr(discord_module, "_GRID_CHUNK", size)
     for partition in ("A", "B"):
-        assert qd_numeric(stack, grid_n=300, partition=partition).tobytes() == fine[partition].tobytes()
+        assert qd_numeric(stack, grid_n=330, partition=partition).tobytes() == fine[partition].tobytes()
     monkeypatch.setattr(discord_module, "_GRID_CHUNK", 1000)
     for partition in ("A", "B"):
         assert qd_numeric(stack, partition=partition).tobytes() == default[partition].tobytes()
@@ -803,7 +851,7 @@ def test_grid_phase_chunks_keep_the_first_minimum(monkeypatch):
 
     monkeypatch.setattr(discord_module, "_avg_conditional_entropy", flat)
     qd_numeric(werner(-0.5))
-    stencil = seen[math.ceil(64 * 64 / 1000)]
+    stencil = seen[math.ceil(2594 / 1000)]
     assert np.array_equal(stencil[1, 0, :2], [0.0, 0.0])
     assert np.array_equal(stencil[0, 0, 2:4], [0.0, 0.0])
     assert np.all(stencil[2, 0, :4] == math.cos(discord_module._STENCIL_H))
@@ -811,13 +859,13 @@ def test_grid_phase_chunks_keep_the_first_minimum(monkeypatch):
 
 def test_grid_phase_memory_is_bounded_at_the_grid_cap():
     # the direction grid is a cache; the search's own temporaries at the
-    # 10^6-direction cap stay near one chunk's, not the whole grid's
+    # 636,478-direction cap stay near one chunk's, not the whole grid's
     rho = werner(0.2)
     try:
         first = qd_numeric(rho, grid_n=MAX_GRID_N)
-        # the cache holds the 3 x 10^6 Bloch components only
+        # the cache holds the 3 x 636,478 Bloch components only
         held = discord_module._direction_grid(MAX_GRID_N).nbytes
-        assert held == 8 * 3 * MAX_GRID_N**2, held
+        assert held == 8 * 3 * 636478, held
         tracemalloc.start()
         try:
             again = qd_numeric(rho, grid_n=MAX_GRID_N)
@@ -828,6 +876,105 @@ def test_grid_phase_memory_is_bounded_at_the_grid_cap():
         discord_module._direction_grid.cache_clear()
     assert again == first
     assert peak < 16 * 2**20, peak
+
+
+def _covering_radius(grid, v):
+    # the largest angle from a unit vector of v (rows) to its nearest line +-n of the grid
+    cos = np.concatenate([np.abs(v[i : i + 500] @ grid).max(axis=1) for i in range(0, len(v), 500)])
+    return float(np.arccos(np.minimum(cos, 1.0)).max())
+
+
+@pytest.mark.parametrize("grid_n", [8, 9, 33, 64])
+def test_direction_grid_covers_the_sphere_as_the_lattice_did(grid_n):
+    # each theta row holds ceil(grid_n sin 2theta) azimuths over [0, pi), no
+    # row spaced wider than the equator's, so the grid covers the sphere up
+    # to sign as closely as the grid_n x grid_n lattice, with fewer directions
+    grid = discord_module._direction_grid(grid_n)
+    lattice = _frozen_direction_grid(grid_n)[2]
+    assert grid.shape[1] < lattice.shape[1]
+    v = np.random.default_rng(grid_n).normal(size=(20000, 3))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    radius = _covering_radius(grid, v)
+    assert radius <= _covering_radius(lattice, v)
+    if grid_n == 64:
+        assert grid.shape == (3, 2594) and radius < 0.035
+    # the first direction is +z, where the first minimum of a flat kernel lands
+    assert np.array_equal(grid[:, 0], [0.0, 0.0, 1.0])
+    # closed under n -> -n, row by row: the rows at 2 theta and pi - 2 theta
+    # hold the same azimuths, so -n of one row is the other's n turned by pi in
+    # phi, and with -n each row's azimuths space its whole circle evenly
+    rows = np.split(grid, np.flatnonzero(np.diff(grid[2])) + 1, axis=1)
+    assert len(rows) == grid_n
+    for row, mirror in zip(rows, rows[::-1]):
+        assert row.shape == mirror.shape
+        assert np.allclose(row * [[1.0], [1.0], [-1.0]], mirror, rtol=0.0, atol=1e-15)
+        full = np.sort(np.arctan2(*np.concatenate((row, -row), axis=1)[1::-1]) % (2.0 * math.pi))
+        if len(full) > 2:
+            assert np.allclose(np.diff(full), 2.0 * math.pi / len(full), rtol=0.0, atol=1e-14)
+
+
+def _frozen_avg_conditional_entropy(corr, n):
+    # _avg_conditional_entropy and _branch_entropy as they stood with the
+    # grid_n x grid_n lattice, verbatim: the kernel now allocates less but
+    # must give the same bits
+    u = corr[1:] * n[:, None]
+    u = u[0] + u[1] + u[2]
+    if u.ndim == 2:
+        return _frozen_branch_entropy(*(corr[0] + u)) + _frozen_branch_entropy(*(corr[0] - u))
+    ent = _frozen_branch_entropy(*(corr[0, :, None] + np.multiply.outer((1.0, -1.0), u).swapaxes(0, 1)))
+    return ent[0] + ent[1]
+
+
+def _frozen_branch_entropy(s, x, y, z):
+    weight = 0.5 * s
+    r = np.minimum(np.sqrt(x * x + y * y + z * z) / np.maximum(s, BRANCH_EPS), 1.0)
+    hi = 0.5 + 0.5 * r
+    lo = 0.5 - 0.5 * r
+    log_lo = np.log2(lo, out=np.zeros_like(lo), where=lo > 0.0)
+    return np.where(weight > BRANCH_EPS, -weight * (hi * np.log2(hi) + lo * log_lo), 0.0)
+
+
+def test_kernel_equals_the_frozen_kernel_bit_for_bit():
+    d = discord_module
+    rng = np.random.default_rng(29)
+    # random states of every rank, then the edge states: the product state's
+    # branch on the grid's +z direction is empty, and the Bell state's branches
+    # are pure, r = 1 and lo = 0
+    states = []
+    for rank in (1, 2, 3, 4):
+        for _ in range(3):
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            states.append(g @ g.conj().T / np.linalg.norm(g) ** 2)
+    stack = np.array(states + list(EDGE_STATES))
+    for partition in ("A", "B"):
+        corr = d._correlation_matrices(stack)
+        if partition == "B":
+            corr = corr.swapaxes(0, 1)
+        chunk = d._direction_grid(330)[:, : d._GRID_CHUNK]
+        for k in range(len(stack)):
+            for grid in (d._direction_grid(64), chunk):
+                got = d._avg_conditional_entropy(corr[:, :, k, None], grid)
+                assert got.tobytes() == _frozen_avg_conditional_entropy(corr[:, :, k, None], grid).tobytes()
+        # the refine's stencil and line search: (3, A, 8) and (3, A, 16) points
+        for m in (8, 16):
+            n = rng.normal(size=(3, len(stack), m))
+            n /= np.linalg.norm(n, axis=0)
+            n[:, -4:, 0] = [[0.0], [0.0], [1.0]]
+            got = d._avg_conditional_entropy(corr[:, :, :, None], n)
+            assert got.shape == (len(stack), m)
+            assert got.tobytes() == _frozen_avg_conditional_entropy(corr[:, :, :, None], n).tobytes()
+        # the reduced states' entropies, which qd_numeric reads the same way
+        rows = 2.0 * corr[:, 0]
+        assert d._branch_entropy(*rows).tobytes() == _frozen_branch_entropy(*rows).tobytes()
+    # branch weights s/2 about BRANCH_EPS, and Bloch lengths r = 1 and beyond
+    eps = BRANCH_EPS
+    s = np.array([0.0, eps, 2.0 * eps, np.nextafter(2.0 * eps, 1.0), 3.0 * eps, 1e-300, 1.0, 1.0, 2.0, 0.5])
+    x = np.array([0.0, eps, 2.0 * eps, 2.0 * eps, eps, 0.0, 1.0, 0.6, 2.0, 0.7])
+    y = np.array([0.0, 0.0, 0.0, 0.0, eps, 0.0, 0.0, 0.8, 0.0, 0.0])
+    z = np.zeros_like(s)
+    got = d._branch_entropy(s, x, y, z)
+    assert got.tobytes() == _frozen_branch_entropy(s, x, y, z).tobytes()
+    assert got[0] == got[6] == 0.0 and got[3] > 0.0
 
 
 # --- stacked oracle against the serial search it replaced -----------------
