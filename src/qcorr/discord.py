@@ -61,15 +61,16 @@ points for it. Each round takes the values at 8 points h = 1e-4 rad from
 a state's direction n, along and between the two axes of a tangent frame
 at n, on great circles (the exponential map). With the value at n, this
 9-point stencil gives the gradient and Hessian in the tangent plane.
-Along each axis of the Hessian, the step is Newton's where the curvature
-is positive and that step is at most one grid spacing; elsewhere it is
-one grid spacing downhill, which leaves a saddle even where the gradient
+Along each Hessian axis, the step is Newton's where the curvature is
+positive and that step is at most one grid spacing; elsewhere it is one
+grid spacing downhill, which leaves a saddle even where the gradient
 vanishes. The state moves to the largest of the fractions 1, 1/2, ...,
-2^-15 of the step that lowers its value, and stops once that move is
-under REFINE_TARGET or no fraction lowers the value. A round is two
+2^-15 of the step that lowers its value. It stops once none does, the
+move is under REFINE_TARGET, or a Newton step on both axes has a model
+gain under 1e-18 bits, which only round-off can show. A round is two
 kernel calls, the stencils and then the line searches of every state
-still refining, and the kernel is elementwise, so a state's value does
-not depend on the rest of the stack, to the bit.
+still refining; the kernel is elementwise, so a state's value does not
+depend on the rest of the stack, to the bit.
 """
 
 from __future__ import annotations
@@ -387,15 +388,12 @@ def _avg_conditional_entropy(corr, n):
     and ``n[0], n[1], n[2]`` are the Bloch components of the directions;
     their trailing axes broadcast: one state's entries, each of shape (1,),
     against an (N,) chunk of the grid, or (A, 1) columns against the
-    (A, M) stencil or line-search points of A states. With a = R[1:, 0],
-    b = R[0, 1:] and T = R[1:, 1:], branch +- of the measurement has
-    weight (R_00 +- n.a)/2, where R_00 = tr rho = 1, and the unnormalized
-    B-side Bloch vector b +- T^T n. Negating n swaps the two branches
-    exactly, so n and -n give the same value, bit for bit.
+    (A, M) stencil or line-search points of A states. Branch +- has weight
+    (R_00 +- n.a)/2, with R_00 = tr rho = 1, and the unnormalized B-side
+    Bloch vector b +- T^T n; negating n swaps them exactly, bit for bit.
     """
-    # u = (n.a, T^T n) = sum_k n_k R[k, :], summed in the order k = 1, 2, 3;
-    # rows (R_00, b) +- u give (2 x weight, Bloch vector) of the two branches,
-    # one branch at a time, the second in u's own buffer
+    # u = (n.a, T^T n) = sum_k n_k R[k, :], summed over k = 1, 2, 3 in order; rows (R_00, b) +- u
+    # give (2 x weight, Bloch vector) of the two branches, one at a time, the second in u's buffer
     u = corr[1] * n[0]
     u += corr[2] * n[1]
     u += corr[3] * n[2]
@@ -411,15 +409,17 @@ def _branch_entropy(s, x, y, z):
     r = x * x
     r += y * y
     r += z * z
-    half = np.minimum(np.divide(np.sqrt(r, out=r), np.maximum(s, BRANCH_EPS), out=r), 1.0, out=r)
-    half *= 0.5  # r/2, once for both eigenvalues
-    hi = 0.5 + half
-    lo = np.subtract(0.5, half, out=half)
+    np.sqrt(r, out=r)
+    r /= np.maximum(s, BRANCH_EPS)
+    np.minimum(r, 1.0, out=r)
+    r *= 0.5  # r/2, once for both eigenvalues
+    hi = 0.5 + r
+    lo = np.subtract(0.5, r, out=r)
     hi *= np.log2(hi)
     lo *= np.log2(lo, out=np.zeros_like(lo), where=lo > 0.0)
     hi += lo
-    hi *= -0.5 * s
-    hi[s <= 2.0 * BRANCH_EPS] = 0.0
+    hi *= -0.5 * s  # -weight
+    hi[0.5 * s <= BRANCH_EPS] = 0.0  # an empty branch
     return hi
 
 
@@ -443,10 +443,10 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     A deterministic grid over [0, pi/2] x [0, pi) in (theta, phi), grid_n
     rows of theta with ceil(grid_n sin 2theta) values of phi each, seeds
     Newton steps on the sphere, which stop once a move falls below 1e-9
-    radians. Rank-1 projective measurements only; no closed-form shortcuts
-    anywhere on this path. The half range of phi covers every direction up
-    to sign, and a direction and its negative give the same value (see the
-    module docstring).
+    radians or only round-off could lower the value. Rank-1 projective
+    measurements only; no closed-form shortcuts anywhere on this path. The
+    half range of phi covers every direction up to sign, and a direction
+    and its negative give the same value (see the module docstring).
 
     ``rho`` may be one 4x4 matrix or a stack of K of them. The grid
     phase runs state by state over one shared direction grid, and the
@@ -508,7 +508,6 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
 
     # Newton steps on the sphere, every state still refining in each kernel call
     spacing = math.pi / (grid_n - 1)  # the grid's arc between theta rows
-    h = _STENCIL_H
     done = np.zeros(n, dtype=bool)
     for _ in range(refine_iters):
         act = np.flatnonzero(~done)
@@ -523,10 +522,10 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
         e1 = np.stack((1.0 + sz * x[0] * x[0] * a, sz * b, -sz * x[0]))
         e2 = np.stack((b, sz + x[1] * x[1] * a, -x[1]))
         f = _avg_conditional_entropy(corr[:, :, act, None], _exp_map(x, e1, e2, _STENCIL))
-        g = np.stack((f[:, 0] - f[:, 1], f[:, 2] - f[:, 3])) / (2.0 * h)
-        hxx = (f[:, 0] + f[:, 1] - 2.0 * f0) / (h * h)
-        hyy = (f[:, 2] + f[:, 3] - 2.0 * f0) / (h * h)
-        hxy = (f[:, 4] - f[:, 5] - f[:, 6] + f[:, 7]) / (4.0 * h * h)
+        g = np.stack((f[:, 0] - f[:, 1], f[:, 2] - f[:, 3])) / (2.0 * _STENCIL_H)
+        hxx = (f[:, 0] + f[:, 1] - 2.0 * f0) / (_STENCIL_H * _STENCIL_H)
+        hyy = (f[:, 2] + f[:, 3] - 2.0 * f0) / (_STENCIL_H * _STENCIL_H)
+        hxy = (f[:, 4] - f[:, 5] - f[:, 6] + f[:, 7]) / (4.0 * _STENCIL_H * _STENCIL_H)
         # along each axis of the Hessian, a Newton step where the curvature is
         # positive and the step is at most one grid spacing, else one grid
         # spacing downhill: a saddle is left even where the gradient is zero
@@ -538,8 +537,8 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
         newton = np.abs(gv) <= spacing * lam
         coef = np.where(newton, -gv / np.where(lam > 0.0, lam, 1.0), np.copysign(spacing, -gv))
         step = (axes * coef).sum(axis=1)
-        # the largest fraction of the step that lowers the value, if any; a
-        # move under REFINE_TARGET, or none, ends the search
+        # the largest fraction of the step that lowers the value, if any. No move, one under
+        # REFINE_TARGET, or a two-axis Newton step of model gain under 1e-18 bits ends it
         points = _exp_map(x, e1, e2, step[:, :, None] * _FRACTIONS)
         vals = _avg_conditional_entropy(corr[:, :, act, None], points)
         lower = vals < f0[:, None]
@@ -548,7 +547,8 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
         rows = np.arange(act.size)
         best[act] = np.where(hit, vals[rows, j], f0)
         bn[:, act] = np.where(hit, points[:, rows, j], x)
-        done[act] = ~hit | (np.hypot(step[0], step[1]) * _FRACTIONS[j] < REFINE_TARGET)
+        gain = np.where(newton.all(axis=0), (lam * coef * coef).sum(axis=0) / 2.0, np.inf)
+        done[act] = ~hit | (np.hypot(*step) * _FRACTIONS[j] < REFINE_TARGET) | (gain < 1e-18)
 
     unconverged = np.flatnonzero(~done)
     if unconverged.size:
