@@ -388,7 +388,10 @@ def _add_flags(sp, kinds=("werner", "gwl", "deformed"), oracle=True, grid=True, 
     if oracle:
         sp.add_argument("--oracle", action="store_true", help="also run the numeric oracle")
     if grid:
-        sp.add_argument("--grid", type=int, help="oracle polar grid count")
+        sp.add_argument(
+            "--grid", type=int,
+            help="theta rows of the oracle's half-sphere direction grid (default 64, at most 1000)",
+        )
     sp.add_argument("--tol", type=finite_positive, help="tolerance, threshold or root width")
     if p_range:
         sp.add_argument("--p-start", type=float)

@@ -52,8 +52,16 @@ The search is a direction grid of grid_n theta rows, none spaced in phi
 wider than the equator's pi/grid_n (2594 directions at grid_n 64, 636,478
 at the cap MAX_GRID_N), cached per size, then a Newton refine on the
 sphere. It takes one 4x4 matrix or a stack of K; a single matrix is a
-stack of one. The grid phase runs state by state, in chunks of at most
-2^16 directions, keeping the first minimum's Bloch vector.
+stack of one. The grid phase runs in two passes. The first takes each
+state's first minimum on the coarse grid of max(8, grid_n // 2) rows (648
+directions at grid_n 64), several states per kernel call: at most 2^11
+state-direction pairs, and chunks of at most 2^16 directions. The second
+takes, in one kernel call for the stack, each state's first minimum among
+the grid_n grid's directions within one coarse row spacing of its coarse
+best or of its negative (12 to 24 at grid_n 64), in index order, and
+seeds the refine there. The refine certifies the minimum, so the grid
+only has to choose the basin. The coarse grid keeps 8 rows below grid_n
+16: at 4 rows, 9 lines, it chose the wrong basin of some real X states.
 
 The refine moves Bloch vectors, not angles, so the poles of (theta, phi),
 where a search in those angles stalls or stops at a saddle, are ordinary
@@ -109,8 +117,13 @@ REFINE_TARGET = 1e-9
 MAX_GRID_N = 1000
 
 # Grid directions per kernel call. At large grid_n this bounds the grid
-# phase's temporaries; the default grid, 2594 directions, stays one call.
+# phase's temporaries; the default grid, 2594 directions, stays one chunk.
 _GRID_CHUNK = 1 << 16
+
+# State x direction elements per grid-phase call, which stacks several states
+# (at least one): 3 states of the default coarse grid. Larger blocks, whose
+# temporaries outgrow the CPU's cache, measured slower, and one state slower still.
+_GRID_BLOCK = 1 << 11
 
 # The refine's stencil as tangent coordinates (u1, u2), in radians: the four
 # axis points at spacing _STENCIL_H, then the four diagonal ones
@@ -423,6 +436,63 @@ def _branch_entropy(s, x, y, z):
     return hi
 
 
+def _tiles(k, m):
+    # (states, directions) slices over k states and m directions, state by state: blocks
+    # of _GRID_BLOCK elements over a grid of one chunk, else one state per chunk of
+    # _GRID_CHUNK directions. So a state's directions come in order, before the next's
+    c = min(m, _GRID_CHUNK)
+    b = max(1, _GRID_BLOCK // m) if m == c else 1
+    return [(slice(i, i + b), slice(s, s + c)) for i in range(0, k, b) for s in range(0, m, c)]
+
+
+def _grid_phase(corr, grid_n):
+    # each state's seed for the refine, coarse to fine as the module docstring says:
+    # (values, Bloch vectors). Below grid_n 16 the coarse grid keeps 8 rows
+    n = corr.shape[2]
+    if not n:
+        return np.empty(0), np.empty((3, 0))
+    coarse_n = max(8, grid_n // 2)
+    coarse = _direction_grid(coarse_n)
+    best = np.full(n, np.inf)
+    first = np.zeros(n, dtype=int)
+    for ks, ds in _tiles(n, coarse.shape[1]):
+        vals = _avg_conditional_entropy(corr[:, :, ks, None], coarse[:, ds])
+        j = vals.argmin(axis=1)
+        v = vals[np.arange(len(j)), j]
+        won = v < best[ks]
+        best[ks] = np.where(won, v, best[ks])
+        first[ks] = np.where(won, ds.start + j, first[ks])
+
+    # the fine directions near each distinct coarse best, as pairs (row of `used`, index)
+    # in order: |n.c| >= cos(spacing), summed elementwise so that no stack moves a bit
+    fine = _direction_grid(grid_n)
+    cos_r = math.cos(math.pi / (coarse_n - 1))
+    hit = np.zeros(coarse.shape[1], dtype=bool)
+    hit[first] = True
+    used = np.flatnonzero(hit)
+    row_of = np.cumsum(hit)[first] - 1
+    c = coarse[:, used]
+    pairs = []
+    for ks, ds in _tiles(len(used), fine.shape[1]):
+        dot = c[0, ks, None] * fine[0, ds]
+        dot += c[1, ks, None] * fine[1, ds]
+        dot += c[2, ks, None] * fine[2, ds]
+        r, j = np.nonzero(np.abs(dot, out=dot) >= cos_r)
+        pairs.append((r + ks.start, j + ds.start))
+    r, j = (np.concatenate(a) for a in zip(*pairs))
+    # one row per coarse best, padded by repeating its last index: a repeat is never
+    # the first minimum. Every row has an index: the fine grid covers the sphere closer
+    counts = np.bincount(r, minlength=len(used))
+    ends = np.cumsum(counts)
+    table = np.repeat(j[ends - 1, None], counts.max(), axis=1)
+    table[r, np.arange(len(r)) - (ends - counts)[r]] = j
+    points = fine[:, table[row_of]]
+    vals = _avg_conditional_entropy(corr[:, :, :, None], points)
+    j = vals.argmin(axis=1)
+    rows = np.arange(n)
+    return vals[rows, j], points[:, rows, j]
+
+
 def _correlation_matrices(stack):
     # R[i, j, k] = tr(rho_k sigma_i (x) sigma_j), state axis last: the
     # Pauli coefficients of each B-side block, then of those over side A
@@ -443,15 +513,18 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     A deterministic grid over [0, pi/2] x [0, pi) in (theta, phi), grid_n
     rows of theta with ceil(grid_n sin 2theta) values of phi each, seeds
     Newton steps on the sphere, which stop once a move falls below 1e-9
-    radians or only round-off could lower the value. Rank-1 projective
-    measurements only; no closed-form shortcuts anywhere on this path. The
-    half range of phi covers every direction up to sign, and a direction
-    and its negative give the same value (see the module docstring).
+    radians or only round-off could lower the value. The grid is searched
+    coarse to fine: the first minimum on the grid of max(8, grid_n // 2)
+    rows, then the first among the grid_n directions beside it. Rank-1
+    projective measurements only; no closed-form shortcuts anywhere on
+    this path. The half range of phi covers every direction up to sign,
+    and a direction and its negative give the same value (see the module
+    docstring).
 
     ``rho`` may be one 4x4 matrix or a stack of K of them. The grid
-    phase runs state by state over one shared direction grid, and the
-    refine runs the whole stack together; the module docstring gives the
-    full account. A state's value does not depend on the rest of the
+    phase runs several states per kernel call over direction grids that
+    every state shares, and the refine runs the whole stack together; the
+    module docstring gives the full account. A state's value does not depend on the rest of the
     stack, to the bit. Measuring side B uses R transposed.
 
     Parameters
@@ -465,7 +538,7 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     grid_n : int
         Number of theta rows of the grid, from 8 to ``MAX_GRID_N`` (1000).
     refine_iters : int
-        Cap on each state's Newton steps, at least 0. If a state has not
+        Cap on each state's Newton steps, at least 1. If a state has not
         converged after that many, NumericError is raised for the
         lowest-index such state, with its index attached as ``index``
         and the best value found as ``best_value``.
@@ -476,7 +549,7 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     """
     t = resolve_tolerance(tol)
     grid_n = _integer(grid_n, "grid_n", 8, MAX_GRID_N)
-    refine_iters = _integer(refine_iters, "refine_iters", 0)
+    refine_iters = _integer(refine_iters, "refine_iters", 1)
     rho = _shaped(rho, "rho", (4, 4), (0, 4, 4))
     single = rho.ndim == 2
     stack = rho[None] if single else rho
@@ -495,16 +568,7 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     s_total = -np.sum(xlog2x(eig), axis=1)
     offset = _branch_entropy(*(2.0 * corr[:, 0])) - s_total
 
-    grid = _direction_grid(grid_n)
-    best = np.empty(n)
-    bn = np.empty((3, n))
-    for k in range(n):
-        # the first minimum over the whole grid, chunk by chunk
-        for s in range(0, grid.shape[1], _GRID_CHUNK):
-            vals = _avg_conditional_entropy(corr[:, :, k, None], grid[:, s : s + _GRID_CHUNK])
-            j = int(np.argmin(vals))
-            if s == 0 or vals[j] < best[k]:
-                best[k], bn[:, k] = vals[j], grid[:, s + j]
+    best, bn = _grid_phase(corr, grid_n)
 
     # Newton steps on the sphere, every state still refining in each kernel call
     spacing = math.pi / (grid_n - 1)  # the grid's arc between theta rows

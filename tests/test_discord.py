@@ -609,8 +609,9 @@ def test_luders_update_checks_its_density_matrix(rho, match):
         dict(grid_n=8.9),  # once run at 8
         dict(refine_iters=math.nan),  # once ValueError
         dict(refine_iters=-3),  # once NumericError "... in -3 polls"
+        dict(refine_iters=0),  # once NumericError "... in 0 Newton steps", even when isotropic
     ],
-    ids=["grid-nan", "grid-inf", "grid-fraction", "iters-nan", "iters-negative"],
+    ids=["grid-nan", "grid-inf", "grid-fraction", "iters-nan", "iters-negative", "iters-zero"],
 )
 def test_qd_numeric_counts_are_integers_in_range(kw):
     (name,) = kw
@@ -626,8 +627,9 @@ def test_qd_numeric_caps_the_grid_before_building_it(monkeypatch):
     for grid_n in (MAX_GRID_N + 1, 10**6):
         with pytest.raises(DomainError, match="grid_n must be an integer in"):
             qd_numeric(werner(-0.5), grid_n=grid_n)
-    # the cap itself is allowed: the search goes on to build its grid
-    with pytest.raises(AssertionError, match="grid_n=%d" % MAX_GRID_N):
+    # the cap itself is allowed: the search goes on to build its grids, the
+    # coarse one first
+    with pytest.raises(AssertionError, match="grid_n=%d" % (MAX_GRID_N // 2)):
         qd_numeric(werner(-0.5), grid_n=MAX_GRID_N)
 
 
@@ -803,18 +805,22 @@ def test_refine_polls_several_halving_levels_per_kernel_call(monkeypatch):
     # a Newton round is two kernel calls for every state still refining: the
     # 8-point stencil about each state, then the 16 halving fractions of each
     # step. No fraction lowers the isotropic Werner state's value, so it
-    # stops after one round
+    # stops after one round. The grid phase before it is one call on the
+    # 648-direction coarse grid, then one on the 24 directions of the default
+    # grid beside the coarse best, +z
     qd_numeric(werner(-0.5))
-    assert calls == [(3, 2594), (3, 1, 8), (3, 1, 16)]
-    # a random-GWL stack: one grid call per state, then at most four rounds
-    # for the whole stack, where the compass made one call per poll of its
-    # longest search
+    assert calls == [(3, 648), (3, 1, 24), (3, 1, 8), (3, 1, 16)]
+    # a random-GWL stack: coarse calls of a few states each and one fine call
+    # for the grid, then at most four rounds for the whole stack, where the
+    # compass made one call per poll of its longest search
     rng = np.random.default_rng(5)
     psi = random_pure_state(seed=8)
     stack = np.array([gwl(psi, p) for p in rng.uniform(-1.0 / 3.0, 1.0, size=20)])
     del calls[:]
     qd_numeric(stack)
-    refine = calls[len(stack) :]
+    coarse = math.ceil(20 / (discord_module._GRID_BLOCK // 648))
+    assert calls[:coarse] == [(3, 648)] * coarse and calls[coarse][:2] == (3, 20)
+    refine = calls[coarse + 1 :]
     assert refine[:2] == [(3, 20, 8), (3, 20, 16)]
     assert [shape[2] for shape in refine] == [8, 16] * (len(refine) // 2)
     assert len(refine) <= 2 * 4
@@ -824,21 +830,23 @@ def test_refine_polls_several_halving_levels_per_kernel_call(monkeypatch):
 
 
 def test_grid_phase_chunks_keep_the_first_minimum(monkeypatch):
-    # grid_n 330 holds 69,286 directions, which span two chunks; tiny chunks
-    # split the default grid at many places, between directions that tie on
-    # the product and maximally mixed states
+    # at grid_n 330 the coarse pass's 17,309 directions are one chunk, and the
+    # 69,286 that the fine pass picks from span two. Chunks of 1000 split both
+    # passes, and the default grid's coarse pass, at many places, between
+    # directions that tie on the product and maximally mixed states; blocks of
+    # one element give each state calls of its own
+    d = discord_module
     stack = _mixed_stack()
-    size = discord_module._direction_grid(330).shape[1]
-    assert size == 69286 > discord_module._GRID_CHUNK
+    assert d._direction_grid(165).shape[1] == 17309 < d._GRID_CHUNK
+    assert d._direction_grid(330).shape[1] == 69286 > d._GRID_CHUNK
     fine = {p: qd_numeric(stack, grid_n=330, partition=p) for p in "AB"}
     default = {p: qd_numeric(stack, partition=p) for p in "AB"}
     assert np.max(np.abs(fine["A"] - _lockstep_qd_numeric(stack, grid_n=330))) <= SERIAL_BOUND
-    monkeypatch.setattr(discord_module, "_GRID_CHUNK", size)
-    for partition in ("A", "B"):
-        assert qd_numeric(stack, grid_n=330, partition=partition).tobytes() == fine[partition].tobytes()
-    monkeypatch.setattr(discord_module, "_GRID_CHUNK", 1000)
-    for partition in ("A", "B"):
-        assert qd_numeric(stack, partition=partition).tobytes() == default[partition].tobytes()
+    for name, value in (("_GRID_CHUNK", 69286), ("_GRID_CHUNK", 1000), ("_GRID_BLOCK", 1)):
+        monkeypatch.setattr(d, name, value)
+        for partition in ("A", "B"):
+            assert qd_numeric(stack, grid_n=330, partition=partition).tobytes() == fine[partition].tobytes()
+            assert qd_numeric(stack, partition=partition).tobytes() == default[partition].tobytes()
     # a kernel that ties every direction: the refine must still start from
     # the grid's first direction, theta = phi = 0, the z axis, so its first
     # stencil points are (+-h, 0) and (0, +-h) along x and y about it
@@ -846,35 +854,81 @@ def test_grid_phase_chunks_keep_the_first_minimum(monkeypatch):
 
     def flat(corr, n):
         seen.append(n)
-        return np.zeros(n.shape[1:])
+        return np.zeros(np.broadcast_shapes(corr.shape[2:], n.shape[1:]))
 
-    monkeypatch.setattr(discord_module, "_avg_conditional_entropy", flat)
+    monkeypatch.setattr(d, "_avg_conditional_entropy", flat)
     qd_numeric(werner(-0.5))
-    stencil = seen[math.ceil(2594 / 1000)]
+    stencil = seen[2]  # after one coarse and one fine grid call
     assert np.array_equal(stencil[1, 0, :2], [0.0, 0.0])
     assert np.array_equal(stencil[0, 0, 2:4], [0.0, 0.0])
     assert np.all(stencil[2, 0, :4] == math.cos(discord_module._STENCIL_H))
 
 
 def test_grid_phase_memory_is_bounded_at_the_grid_cap():
-    # the direction grid is a cache; the search's own temporaries at the
+    # the direction grids are a cache; the search's own temporaries at the
     # 636,478-direction cap stay near one chunk's, not the whole grid's
     rho = werner(0.2)
+    grids = discord_module._direction_grid
     try:
         first = qd_numeric(rho, grid_n=MAX_GRID_N)
-        # the cache holds the 3 x 636,478 Bloch components only
-        held = discord_module._direction_grid(MAX_GRID_N).nbytes
-        assert held == 8 * 3 * 636478, held
+        # the cache holds the 3 x 636,478 Bloch components, and the 3 x 159,068
+        # of the coarse grid, only; a second call finds both there
+        held = grids(MAX_GRID_N).nbytes + grids(MAX_GRID_N // 2).nbytes
+        assert held == 8 * 3 * (636478 + 159068), held
+        before = grids.cache_info()
         tracemalloc.start()
         try:
             again = qd_numeric(rho, grid_n=MAX_GRID_N)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        after = grids.cache_info()
     finally:
-        discord_module._direction_grid.cache_clear()
+        grids.cache_clear()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
     assert again == first
     assert peak < 16 * 2**20, peak
+
+
+def _exhaustive_grid_phase(corr, grid_n):
+    # the grid phase as it stood before the coarse pass, verbatim: each state
+    # alone over the whole grid_n grid, chunk by chunk, keeping its first minimum
+    d = discord_module
+    n = corr.shape[2]
+    grid = d._direction_grid(grid_n)
+    best = np.empty(n)
+    bn = np.empty((3, n))
+    for k in range(n):
+        for s in range(0, grid.shape[1], d._GRID_CHUNK):
+            vals = d._avg_conditional_entropy(corr[:, :, k, None], grid[:, s : s + d._GRID_CHUNK])
+            j = int(np.argmin(vals))
+            if s == 0 or vals[j] < best[k]:
+                best[k], bn[:, k] = vals[j], grid[:, s + j]
+    return best, bn
+
+
+@pytest.mark.parametrize("grid_n", [8, 9, 64, 330])
+def test_coarse_to_fine_seeds_keep_the_exhaustive_grid_values(grid_n, monkeypatch):
+    # the refine from each state's best direction beside its coarse best must
+    # end where the refine from its first minimum over the whole grid does, to
+    # SERIAL_BOUND, which also bounds how far above it a value may lie. Random
+    # states of every rank, and real X states, whose basins can lie 1e-6 bits
+    # apart; a stack's values are its states' own, bit for bit
+    rng = np.random.default_rng(43)
+    states = []
+    for rank in (1, 2, 3, 4):
+        for _ in range(6):
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            states.append(g @ g.conj().T / np.linalg.norm(g) ** 2)
+    stack = np.concatenate((states, _real_x_states(rng, 24)))
+    kw = dict(grid_n=grid_n)
+    found = {p: qd_numeric(stack, partition=p, **kw) for p in "AB"}
+    for p in "AB":
+        singles = [qd_numeric(rho, partition=p, **kw) for rho in stack]
+        assert np.array(singles).tobytes() == found[p].tobytes()
+    monkeypatch.setattr(discord_module, "_grid_phase", _exhaustive_grid_phase)
+    for p in "AB":
+        assert np.max(np.abs(found[p] - qd_numeric(stack, partition=p, **kw))) <= SERIAL_BOUND, p
 
 
 def _covering_radius(grid, v):
