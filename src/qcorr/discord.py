@@ -55,13 +55,14 @@ sphere. It takes one 4x4 matrix or a stack of K; a single matrix is a
 stack of one. The grid phase runs in two passes. The first takes each
 state's first minimum on the coarse grid of max(8, grid_n // 2) rows (648
 directions at grid_n 64), as many states per kernel call as fit in 2^11
-state-direction pairs (at least one), and chunks of at most 2^16 directions. The second
-takes, in one kernel call for the stack, each state's first minimum among
-the grid_n grid's directions within one coarse row spacing of its coarse
-best or of its negative (12 to 24 at grid_n 64), in index order, and
-seeds the refine there. The refine certifies the minimum, so the grid
-only has to choose the basin. The coarse grid keeps 8 rows below grid_n
-16: at 4 rows, 9 lines, it chose the wrong basin of some real X states.
+state-direction pairs (at least one), and chunks of at most 2^16
+directions. The second takes, in one kernel call for the stack, each
+state's first minimum among the grid_n grid's directions within one
+coarse row spacing of its coarse best or of its negative (12 to 24 at
+grid_n 64), in index order, and seeds the refine there. The refine
+certifies the minimum, so the grid only has to choose the basin. The
+coarse grid keeps 8 rows below grid_n 16: at 4 rows, 9 lines, it chose
+the wrong basin of some real X states.
 
 The refine moves Bloch vectors, not angles, so the poles of (theta, phi),
 where a search in those angles stalls or stops at a saddle, are ordinary
