@@ -86,7 +86,8 @@ def p_grid(start, stop, step):
             "--p-step %r gives more than %d grid points from %r to %r"
             % (step, MAX_GRID_POINTS, start, stop)
         )
-    return [start + i * step for i in range(int(math.floor(last)) + 1)]
+    # the same IEEE product and sum as start + i * step, as a list of Python floats
+    return (start + np.arange(int(math.floor(last)) + 1) * step).tolist()
 
 
 def _p_range(args, kind):
@@ -131,9 +132,8 @@ def _fmt(x):
 
 def csv_text(columns):
     """CSV of named float columns: the names as header, one line per row."""
-    lines = [",".join(columns)]
-    lines += (",".join(map(repr, row)) for row in zip(*columns.values()))
-    return "\n".join(lines) + "\n"
+    rows = map(",".join, zip(*(map(repr, column) for column in columns.values())))
+    return "\n".join([",".join(columns), *rows, ""])
 
 
 def _diagonal_wmatrix(c):
@@ -323,8 +323,8 @@ def cmd_crossover(args):
     else:  # coherent-vs-a, the parser's only other pair
 
         def g(alpha):
-            gap = qd_gwl(concurrence_at(alpha, "C"), ps) - qd_gwl(concurrence_at(alpha, "A"), ps)
-            return float(np.max(gap))
+            qd_c, qd_a = qd_gwl([[concurrence_at(alpha, "C")], [concurrence_at(alpha, "A")]], ps)
+            return float(np.max(qd_c - qd_a))
 
         label = "max over p of QD(coherent) - QD(A)"
 

@@ -65,6 +65,33 @@ def test_p_grid_caps_the_point_count(capsys):
     assert "grid points" in capsys.readouterr().err
 
 
+def _listcomp_p_grid(start, stop, step):
+    # frozen copy of p_grid's point list as a list comprehension, before numpy built it
+    last = (stop - start) / step + 1e-9
+    return [start + i * step for i in range(int(math.floor(last)) + 1)]
+
+
+# analytic-sweep's 10,001-row GWL grid: a dyadic step, ending exactly at p = 1
+ANALYTIC_SWEEP_GRID = (1.0 - 10000 * 16 * 2.0**-17, 1.0, 16 * 2.0**-17)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        (-0.7, 0.3, 0.0003),
+        (0.0, 1.0, 0.3),
+        (0.1, 0.1, 0.01),
+        ANALYTIC_SWEEP_GRID,
+        (0.0, 1.0, 1.0 / 999999.0),
+    ],
+    ids=["negative-start", "uneven-step", "one-point", "analytic-sweep", "max-points"],
+)
+def test_p_grid_equals_the_list_comprehension(grid):
+    ps = p_grid(*grid)
+    assert ps == _listcomp_p_grid(*grid)
+    assert all(type(x) is float for x in ps)
+
+
 def test_grid_without_oracle_is_a_usage_error(tmp_path, monkeypatch, capsys):
     # only the oracle reads --grid; the check runs before any state is built
     def no_state(*args, **kwargs):
@@ -135,6 +162,70 @@ def test_csv_text():
     third = 1.0 / 3.0
     text = csv_text({"p": [third], "eof": [third], "qd_analytic": [third]})
     assert float(text.splitlines()[1].split(",")[0]) == third
+
+
+def _rowwise_csv_text(columns):
+    # frozen copy of csv_text as it formatted one row at a time
+    lines = [",".join(columns)]
+    lines += (",".join(map(repr, row)) for row in zip(*columns.values()))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [
+    0.0, 1e-05, 9.999999999999999e-05, 0.0001, 1e16, 1e22, 5e-324,
+    2.2250738585072014e-308, 1.0 / 3.0, -0.5, 1.0,
+]
+SIX_COLUMNS = ("p", "eof", "qd_analytic", "qd_numeric", "residual", "concurrence")
+
+
+def _sweep_args(argv):
+    return cli.build_parser().parse_args(["sweep", *argv])
+
+
+def test_csv_text_equals_the_row_wise_reference():
+    cases = [{name: EDGE_FLOATS[i:] + EDGE_FLOATS[:i] for i, name in enumerate(SIX_COLUMNS)}]
+    for rows in (1, 2):
+        for width in (3, 6):
+            cases.append({name: EDGE_FLOATS[i : i + rows] for i, name in enumerate(SIX_COLUMNS[:width])})
+    start, stop, step = ANALYTIC_SWEEP_GRID
+    args = _sweep_args(["--kind", "gwl", "--concurrence", "0.5", "--p-start", repr(start),
+                        "--p-stop", repr(stop), "--p-step", repr(step)])
+    cases.append(cli.compute_rows(args, args.oracle, args.tol))
+    assert len(cases[-1]["p"]) == 10001
+    for columns in cases:
+        assert csv_text(columns) == _rowwise_csv_text(columns)
+    # repr's shortest round-trip form, exponents included
+    assert csv_text({"p": [1e-05], "eof": [1e22]}) == "p,eof\n1e-05,1e+22\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kind", "werner"],
+        ["--kind", "gwl", "--concurrence", "0.5"],
+        ["--kind", "deformed", "--family", "poschl-teller", "--N", "10", "--nmax", "9",
+         "--alpha", "0.65", "--deformed-kind", "A"],
+    ],
+    ids=["werner", "gwl", "deformed"],
+)
+@pytest.mark.parametrize("oracle", [False, True], ids=["analytic", "oracle"])
+def test_sweep_columns_hold_python_floats(argv, oracle):
+    # a numpy scalar would print as np.float64(...) through repr
+    argv = argv + ["--p-step", "0.25"] + (["--oracle", "--grid", "16"] if oracle else [])
+    args = _sweep_args(argv)
+    columns = cli.compute_rows(args, args.oracle, args.tol)
+    assert len(columns) == (6 if oracle else 3)
+    for name, column in columns.items():
+        assert type(column) is list and column, name
+        assert all(type(x) is float for x in column), name
+
+
+def test_sweep_prints_the_golden_csv(capsys):
+    # checked in from the row-wise formatter: 134 rows of the default GWL grid
+    golden = (Path(__file__).parent / "data" / "sweep_gwl_c05.csv").read_bytes()
+    assert main(["sweep", "--kind", "gwl", "--concurrence", "0.5"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == golden
+    assert golden.count(b"\n") == 135
 
 
 def test_diagonal_wmatrix():
@@ -640,7 +731,8 @@ def test_p_crossing_evaluates_the_gap_once_per_block(state, monkeypatch, capsys)
 
 def test_alpha_max_p_makes_one_g_call_per_step(monkeypatch, capsys):
     # each g call builds two kets, so alpha-max-p bisects one alpha at a time:
-    # two ends, then one per halving of [1.0, 1.6] down to 1e-4
+    # two ends, then one per halving of [1.0, 1.6] down to 1e-4; each call takes
+    # the coherent and the A concurrence as the rows of one (2, 1) C
     calls = []
     real = cli.qd_gwl
     monkeypatch.setattr(cli, "qd_gwl", lambda c, p, tol=None: calls.append(c) or real(c, p, tol))
@@ -651,7 +743,41 @@ def test_alpha_max_p_makes_one_g_call_per_step(monkeypatch, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     steps = math.ceil(math.log2(0.6 / 1e-4))
-    assert len(calls) == 2 * (2 + steps)
+    assert len(calls) == 2 + steps
+    assert all(np.shape(c) == (2, 1) for c in calls)
+
+
+COHERENT_VS_A_BRACKETS = {
+    "poschl-teller": ["--family", "poschl-teller", "--N", "10", "--nmax", "9",
+                      "--alpha-lo", "1.0", "--alpha-hi", "1.6"],
+    "morse": ["--family", "morse", "--N", "10", "--alpha", "1.0"],
+}
+
+
+@pytest.mark.parametrize("family", sorted(COHERENT_VS_A_BRACKETS))
+@pytest.mark.filterwarnings("ignore:discord still moving")
+def test_coherent_vs_a_keeps_the_two_call_root(family, monkeypatch, capsys):
+    # the frozen g of coherent-vs-a, one qd_gwl call per kind, on the same p grid
+    argv = ["crossover", "--pair", "coherent-vs-a", *COHERENT_VS_A_BRACKETS[family]]
+    args = cli.build_parser().parse_args(argv)
+    ps = cli._p_range(args, "gwl")[2]
+    spec = cli._deformation_spec(args)
+
+    def c(alpha, kind):
+        return concurrence_pure(cli._wmatrix_from_overlap(overlap(spec, alpha, kind), args.sign))
+
+    def two_call_g(alpha):
+        return float(np.max(qd_gwl(c(alpha, "C"), ps) - qd_gwl(c(alpha, "A"), ps)))
+
+    ref = _bisect(lambda a: list(map(two_call_g, a)), args.alpha_lo, args.alpha_hi,
+                  cli.DEFAULT_ROOT_TOL, "gap")
+    gs = []
+    monkeypatch.setattr(cli, "_bisect", lambda g, *rest: gs.append(g) or _bisect(g, *rest))
+    assert main(argv) == 0
+    assert "alpha=%r\n" % ref in capsys.readouterr().out
+    # and the g it bisects equals the frozen one on 200 alphas of the default bracket
+    alphas = np.linspace(0.2, 3.0, 200).tolist()
+    assert gs[0](alphas) == list(map(two_call_g, alphas))
 
 
 def _count_range_checks(monkeypatch):
