@@ -390,7 +390,8 @@ def _add_flags(sp, kinds=("werner", "gwl", "deformed"), oracle=True, grid=True, 
     if grid:
         sp.add_argument(
             "--grid", type=int,
-            help="theta rows of the oracle's half-sphere direction grid (default 64, at most 1000)",
+            help="oracle grid size N: max(8, N // 2) theta rows of its half-sphere direction grid "
+            "and a refine step cap of pi/(N - 1) (default 64, at most 1000)",
         )
     sp.add_argument("--tol", type=finite_positive, help="tolerance, threshold or root width")
     if p_range:

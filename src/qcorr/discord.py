@@ -48,21 +48,16 @@ arithmetic alone, the same for every batch shape. Negating n swaps the
 two branches exactly, so n and -n give the same value bit for bit, and
 the grid covers only the half sphere phi in [0, pi).
 
-The search is a direction grid of grid_n theta rows, none spaced in phi
-wider than the equator's pi/grid_n (2594 directions at grid_n 64, 636,478
-at the cap MAX_GRID_N), cached per size, then a Newton refine on the
-sphere. It takes one 4x4 matrix or a stack of K; a single matrix is a
-stack of one. The grid phase runs in two passes. The first takes each
-state's first minimum on the coarse grid of max(8, grid_n // 2) rows (648
-directions at grid_n 64), as many states per kernel call as fit in 2^11
-state-direction pairs (at least one), and chunks of at most 2^16
-directions. The second takes, in one kernel call for the stack, each
-state's first minimum among the grid_n grid's directions within one
-coarse row spacing of its coarse best or of its negative (12 to 24 at
-grid_n 64), in index order, and seeds the refine there. The refine
-certifies the minimum, so the grid only has to choose the basin. The
-coarse grid keeps 8 rows below grid_n 16: at 4 rows, 9 lines, it chose
-the wrong basin of some real X states.
+The search takes each state's first minimum on a direction grid of
+max(8, grid_n // 2) theta rows, none spaced in phi wider than the
+equator (648 directions at grid_n 64, 159,068 at the cap MAX_GRID_N),
+cached per size, and seeds a Newton refine on the sphere there. The
+refine certifies the minimum, so the grid only has to choose the basin;
+it keeps 8 rows below grid_n 16, since at 4 rows, 9 lines, it chose the
+wrong basin of some real X states. It takes one 4x4 matrix or a stack
+of K; a single matrix is a stack of one. A kernel call takes as many
+states as fit in 2^11 state-direction pairs (at least one) and at most
+2^16 directions.
 
 The refine moves Bloch vectors, not angles, so the poles of (theta, phi),
 where a search in those angles stalls or stops at a saddle, are ordinary
@@ -71,8 +66,8 @@ a state's direction n, along and between the two axes of a tangent frame
 at n, on great circles (the exponential map). With the value at n, this
 9-point stencil gives the gradient and Hessian in the tangent plane.
 Along each Hessian axis, the step is Newton's where the curvature is
-positive and that step is at most one grid spacing; elsewhere it is one
-grid spacing downhill, which leaves a saddle even where the gradient
+positive and that step is at most the cap pi/(grid_n - 1); elsewhere it
+is the cap downhill, which leaves a saddle even where the gradient
 vanishes. The state moves to the largest of the fractions 1, 1/2, ...,
 2^-15 of the step that lowers its value. It stops once none does, the
 move is under REFINE_TARGET, or a Newton step on both axes has a model
@@ -114,15 +109,15 @@ from .states import GWL_RANGE, WERNER_RANGE, reduced_from_wmatrix
 # A state's refine stops once its Newton move falls below this (radians).
 REFINE_TARGET = 1e-9
 
-# Largest oracle grid_n: the half-sphere grid then holds 636,478 directions.
+# Largest oracle grid_n: its half-sphere grid of 500 rows holds 159,068 directions.
 MAX_GRID_N = 1000
 
 # Grid directions per kernel call. At large grid_n this bounds the grid
-# phase's temporaries; the default grid, 2594 directions, stays one chunk.
+# phase's temporaries; the default grid, 648 directions, stays one chunk.
 _GRID_CHUNK = 1 << 16
 
 # State x direction elements per grid-phase call, which stacks several states
-# (at least one): 3 states of the default coarse grid. Larger blocks, whose
+# (at least one): 3 states of the default grid. Larger blocks, whose
 # temporaries outgrow the CPU's cache, measured slower, and one state slower still.
 _GRID_BLOCK = 1 << 11
 
@@ -375,12 +370,12 @@ def _directions(theta, phi):
 
 
 @functools.lru_cache(maxsize=2)
-def _direction_grid(grid_n):
+def _direction_grid(rows):
     # the Bloch vectors of the half-sphere grid, shared by every state: row i, at 2 theta =
-    # pi i/(grid_n - 1) from +z, holds m = ceil(grid_n sin 2theta) >= 1 azimuths phi = pi j/m,
+    # pi i/(rows - 1) from +z, holds m = ceil(rows sin 2theta) >= 1 azimuths phi = pi j/m,
     # none wider spaced than the equator (1e-9 absorbs its round-off). phi < pi: -n has n's value
-    thetas = np.linspace(0.0, math.pi / 2.0, grid_n)
-    counts = np.maximum(1, np.ceil(grid_n * np.sin(2.0 * thetas) - 1e-9)).astype(int)
+    thetas = np.linspace(0.0, math.pi / 2.0, rows)
+    counts = np.maximum(1, np.ceil(rows * np.sin(2.0 * thetas) - 1e-9)).astype(int)
     phis = np.concatenate([math.pi * np.arange(m) / m for m in counts])
     n = _directions(np.repeat(thetas, counts), phis)
     n.flags.writeable = False
@@ -447,51 +442,20 @@ def _tiles(k, m):
 
 
 def _grid_phase(corr, grid_n):
-    # each state's seed for the refine, coarse to fine as the module docstring says:
-    # (values, Bloch vectors). Below grid_n 16 the coarse grid keeps 8 rows
+    # each state's first minimum on the grid of max(8, grid_n // 2) rows, the refine's
+    # seed: (values, Bloch vectors)
     n = corr.shape[2]
-    if not n:
-        return np.empty(0), np.empty((3, 0))
-    coarse_n = max(8, grid_n // 2)
-    coarse = _direction_grid(coarse_n)
+    grid = _direction_grid(max(8, grid_n // 2))
     best = np.full(n, np.inf)
     first = np.zeros(n, dtype=int)
-    for ks, ds in _tiles(n, coarse.shape[1]):
-        vals = _avg_conditional_entropy(corr[:, :, ks, None], coarse[:, ds])
+    for ks, ds in _tiles(n, grid.shape[1]):
+        vals = _avg_conditional_entropy(corr[:, :, ks, None], grid[:, ds])
         j = vals.argmin(axis=1)
         v = vals[np.arange(len(j)), j]
         won = v < best[ks]
         best[ks] = np.where(won, v, best[ks])
         first[ks] = np.where(won, ds.start + j, first[ks])
-
-    # the fine directions near each distinct coarse best, as pairs (row of `used`, index)
-    # in order: |n.c| >= cos(spacing), summed elementwise so that no stack moves a bit
-    fine = _direction_grid(grid_n)
-    cos_r = math.cos(math.pi / (coarse_n - 1))
-    hit = np.zeros(coarse.shape[1], dtype=bool)
-    hit[first] = True
-    used = np.flatnonzero(hit)
-    row_of = np.cumsum(hit)[first] - 1
-    c = coarse[:, used]
-    pairs = []
-    for ks, ds in _tiles(len(used), fine.shape[1]):
-        dot = c[0, ks, None] * fine[0, ds]
-        dot += c[1, ks, None] * fine[1, ds]
-        dot += c[2, ks, None] * fine[2, ds]
-        r, j = np.nonzero(np.abs(dot, out=dot) >= cos_r)
-        pairs.append((r + ks.start, j + ds.start))
-    r, j = (np.concatenate(a) for a in zip(*pairs))
-    # one row per coarse best, padded by repeating its last index: a repeat is never
-    # the first minimum. Every row has an index: the fine grid covers the sphere closer
-    counts = np.bincount(r, minlength=len(used))
-    ends = np.cumsum(counts)
-    table = np.repeat(j[ends - 1, None], counts.max(), axis=1)
-    table[r, np.arange(len(r)) - (ends - counts)[r]] = j
-    points = fine[:, table[row_of]]
-    vals = _avg_conditional_entropy(corr[:, :, :, None], points)
-    j = vals.argmin(axis=1)
-    rows = np.arange(n)
-    return vals[rows, j], points[:, rows, j]
+    return best, grid[:, first]
 
 
 def _correlation_matrices(stack):
@@ -511,19 +475,17 @@ def _correlation_matrices(stack):
 def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     """Brute-force quantum discord by measurement minimization.
 
-    A deterministic grid over [0, pi/2] x [0, pi) in (theta, phi), grid_n
-    rows of theta with ceil(grid_n sin 2theta) values of phi each, seeds
-    Newton steps on the sphere, which stop once a move falls below 1e-9
-    radians or only round-off could lower the value. The grid is searched
-    coarse to fine: the first minimum on the grid of max(8, grid_n // 2)
-    rows, then the first among the grid_n directions beside it. Rank-1
-    projective measurements only; no closed-form shortcuts anywhere on
-    this path. The half range of phi covers every direction up to sign,
-    and a direction and its negative give the same value (see the module
-    docstring).
+    The first minimum on a deterministic grid over [0, pi/2] x [0, pi) in
+    (theta, phi), m = max(8, grid_n // 2) rows of theta with
+    ceil(m sin 2theta) values of phi each, seeds Newton steps on the
+    sphere, which stop once a move falls below 1e-9 radians or only
+    round-off could lower the value. Rank-1 projective measurements only;
+    no closed-form shortcuts anywhere on this path. The half range of phi
+    covers every direction up to sign, and a direction and its negative
+    give the same value (see the module docstring).
 
     ``rho`` may be one 4x4 matrix or a stack of K of them. The grid
-    phase runs several states per kernel call over direction grids that
+    phase runs several states per kernel call over a direction grid that
     every state shares, and the refine runs the whole stack together; the
     module docstring gives the full account. A state's value does not depend on the rest of the
     stack, to the bit. Measuring side B uses R transposed.
@@ -537,7 +499,8 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     partition : {"A", "B"}
         The measured side.
     grid_n : int
-        Number of theta rows of the grid, from 8 to ``MAX_GRID_N`` (1000).
+        From 8 to ``MAX_GRID_N`` (1000). The grid has max(8, grid_n // 2)
+        theta rows, and a refine step is at most pi / (grid_n - 1) radians.
     refine_iters : int
         Cap on each state's Newton steps, at least 1. If a state has not
         converged after that many, NumericError is raised for the
@@ -572,7 +535,7 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     best, bn = _grid_phase(corr, grid_n)
 
     # Newton steps on the sphere, every state still refining in each kernel call
-    spacing = math.pi / (grid_n - 1)  # the grid's arc between theta rows
+    spacing = math.pi / (grid_n - 1)  # the step cap; grid_n also sets the grid's rows
     done = np.zeros(n, dtype=bool)
     for _ in range(refine_iters):
         act = np.flatnonzero(~done)
@@ -592,8 +555,8 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
         hyy = (f[:, 2] + f[:, 3] - 2.0 * f0) / (_STENCIL_H * _STENCIL_H)
         hxy = (f[:, 4] - f[:, 5] - f[:, 6] + f[:, 7]) / (4.0 * _STENCIL_H * _STENCIL_H)
         # along each axis of the Hessian, a Newton step where the curvature is
-        # positive and the step is at most one grid spacing, else one grid
-        # spacing downhill: a saddle is left even where the gradient is zero
+        # positive and the step is at most the cap, else the cap downhill: a
+        # saddle is left even where the gradient is zero
         mid, rad = (hxx + hyy) / 2.0, np.hypot((hxx - hyy) / 2.0, hxy)
         psi = 0.5 * np.arctan2(2.0 * hxy, hxx - hyy)
         axes = np.array([[np.cos(psi), -np.sin(psi)], [np.sin(psi), np.cos(psi)]])

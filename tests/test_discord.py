@@ -627,8 +627,8 @@ def test_qd_numeric_caps_the_grid_before_building_it(monkeypatch):
     for grid_n in (MAX_GRID_N + 1, 10**6):
         with pytest.raises(DomainError, match="grid_n must be an integer in"):
             qd_numeric(werner(-0.5), grid_n=grid_n)
-    # the cap itself is allowed: the search goes on to build its grids, the
-    # coarse one first
+    # the cap itself is allowed: the search goes on to build its grid, of
+    # MAX_GRID_N // 2 rows
     with pytest.raises(AssertionError, match="grid_n=%d" % (MAX_GRID_N // 2)):
         qd_numeric(werner(-0.5), grid_n=MAX_GRID_N)
 
@@ -806,21 +806,20 @@ def test_refine_polls_several_halving_levels_per_kernel_call(monkeypatch):
     # 8-point stencil about each state, then the 16 halving fractions of each
     # step. No fraction lowers the isotropic Werner state's value, so it
     # stops after one round. The grid phase before it is one call on the
-    # 648-direction coarse grid, then one on the 24 directions of the default
-    # grid beside the coarse best, +z
+    # 648-direction grid of 32 rows
     qd_numeric(werner(-0.5))
-    assert calls == [(3, 648), (3, 1, 24), (3, 1, 8), (3, 1, 16)]
-    # a random-GWL stack: coarse calls of a few states each and one fine call
-    # for the grid, then at most four rounds for the whole stack, where the
-    # compass made one call per poll of its longest search
+    assert calls == [(3, 648), (3, 1, 8), (3, 1, 16)]
+    # a random-GWL stack: grid calls of a few states each, then at most four
+    # rounds for the whole stack, where the compass made one call per poll of
+    # its longest search
     rng = np.random.default_rng(5)
     psi = random_pure_state(seed=8)
     stack = np.array([gwl(psi, p) for p in rng.uniform(-1.0 / 3.0, 1.0, size=20)])
     del calls[:]
     qd_numeric(stack)
     coarse = math.ceil(20 / (discord_module._GRID_BLOCK // 648))
-    assert calls[:coarse] == [(3, 648)] * coarse and calls[coarse][:2] == (3, 20)
-    refine = calls[coarse + 1 :]
+    assert calls[:coarse] == [(3, 648)] * coarse
+    refine = calls[coarse:]
     assert refine[:2] == [(3, 20, 8), (3, 20, 16)]
     assert [shape[2] for shape in refine] == [8, 16] * (len(refine) // 2)
     assert len(refine) <= 2 * 4
@@ -830,22 +829,22 @@ def test_refine_polls_several_halving_levels_per_kernel_call(monkeypatch):
 
 
 def test_grid_phase_chunks_keep_the_first_minimum(monkeypatch):
-    # at grid_n 330 the coarse pass's 17,309 directions are one chunk, and the
-    # 69,286 that the fine pass picks from span two. Chunks of 1000 split both
-    # passes, and the default grid's coarse pass, at many places, between
-    # directions that tie on the product and maximally mixed states; blocks of
-    # one element give each state calls of its own
+    # at grid_n 330 the grid's 17,309 directions are one chunk, and at the
+    # default the 648 of 32 rows. Chunks of 200 split both grids, and chunks of
+    # 1000 the first, at many places, between directions that tie on the
+    # product and maximally mixed states; blocks of one element give each
+    # state calls of its own
     d = discord_module
     stack = _mixed_stack()
     assert d._direction_grid(165).shape[1] == 17309 < d._GRID_CHUNK
-    assert d._direction_grid(330).shape[1] == 69286 > d._GRID_CHUNK
-    fine = {p: qd_numeric(stack, grid_n=330, partition=p) for p in "AB"}
+    assert d._direction_grid(32).shape[1] == 648
+    large = {p: qd_numeric(stack, grid_n=330, partition=p) for p in "AB"}
     default = {p: qd_numeric(stack, partition=p) for p in "AB"}
-    assert np.max(np.abs(fine["A"] - _lockstep_qd_numeric(stack, grid_n=330))) <= SERIAL_BOUND
-    for name, value in (("_GRID_CHUNK", 69286), ("_GRID_CHUNK", 1000), ("_GRID_BLOCK", 1)):
+    assert np.max(np.abs(large["A"] - _lockstep_qd_numeric(stack, grid_n=330))) <= SERIAL_BOUND
+    for name, value in (("_GRID_CHUNK", 200), ("_GRID_CHUNK", 1000), ("_GRID_BLOCK", 1)):
         monkeypatch.setattr(d, name, value)
         for partition in ("A", "B"):
-            assert qd_numeric(stack, grid_n=330, partition=partition).tobytes() == fine[partition].tobytes()
+            assert qd_numeric(stack, grid_n=330, partition=partition).tobytes() == large[partition].tobytes()
             assert qd_numeric(stack, partition=partition).tobytes() == default[partition].tobytes()
     # a kernel that ties every direction: the refine must still start from
     # the grid's first direction, theta = phi = 0, the z axis, so its first
@@ -858,7 +857,7 @@ def test_grid_phase_chunks_keep_the_first_minimum(monkeypatch):
 
     monkeypatch.setattr(d, "_avg_conditional_entropy", flat)
     qd_numeric(werner(-0.5))
-    stencil = seen[2]  # after one coarse and one fine grid call
+    stencil = seen[1]  # after one grid call
     assert np.array_equal(stencil[1, 0, :2], [0.0, 0.0])
     assert np.array_equal(stencil[0, 0, 2:4], [0.0, 0.0])
     assert np.all(stencil[2, 0, :4] == math.cos(discord_module._STENCIL_H))
@@ -866,15 +865,17 @@ def test_grid_phase_chunks_keep_the_first_minimum(monkeypatch):
 
 def test_grid_phase_memory_is_bounded_at_the_grid_cap():
     # the direction grids are a cache; the search's own temporaries at the
-    # 636,478-direction cap stay near one chunk's, not the whole grid's
+    # cap, a grid of 159,068 directions, stay near one chunk's, not the whole grid's
     rho = werner(0.2)
     grids = discord_module._direction_grid
+    grids.cache_clear()
     try:
         first = qd_numeric(rho, grid_n=MAX_GRID_N)
-        # the cache holds the 3 x 636,478 Bloch components, and the 3 x 159,068
-        # of the coarse grid, only; a second call finds both there
-        held = grids(MAX_GRID_N).nbytes + grids(MAX_GRID_N // 2).nbytes
-        assert held == 8 * 3 * (636478 + 159068), held
+        # the cache holds the 3 x 159,068 Bloch components of the grid of
+        # MAX_GRID_N // 2 rows only; a second call finds it there
+        assert grids.cache_info().currsize == 1
+        held = grids(MAX_GRID_N // 2).nbytes
+        assert held == 8 * 3 * 159068, held
         before = grids.cache_info()
         tracemalloc.start()
         try:
@@ -885,7 +886,7 @@ def test_grid_phase_memory_is_bounded_at_the_grid_cap():
         after = grids.cache_info()
     finally:
         grids.cache_clear()
-    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     assert again == first
     assert peak < 16 * 2**20, peak
 
@@ -909,9 +910,10 @@ def _exhaustive_grid_phase(corr, grid_n):
 
 @pytest.mark.parametrize("grid_n", [8, 9, 64, 330])
 def test_coarse_to_fine_seeds_keep_the_exhaustive_grid_values(grid_n, monkeypatch):
-    # the refine from each state's best direction beside its coarse best must
-    # end where the refine from its first minimum over the whole grid does, to
-    # SERIAL_BOUND, which also bounds how far above it a value may lie. Random
+    # the refine from each state's first minimum on the grid of max(8,
+    # grid_n // 2) rows must end where the refine from its first minimum over
+    # the whole grid_n grid does, to SERIAL_BOUND, which also bounds how far
+    # above it a value may lie. Random
     # states of every rank, and real X states, whose basins can lie 1e-6 bits
     # apart; a stack's values are its states' own, bit for bit
     rng = np.random.default_rng(43)
@@ -1255,6 +1257,7 @@ def test_qd_numeric_stack_of_one_equals_single_matrix():
     stacked = qd_numeric(rho[None], partition="B")
     assert stacked.shape == (1,) and stacked[0] == single
     assert qd_numeric(np.empty((0, 4, 4))).shape == (0,)
+    assert qd_numeric(np.empty((0, 4, 4)), partition="B").shape == (0,)
 
 
 def test_qd_numeric_stack_rejects_bad_matrix_before_searching(monkeypatch):
