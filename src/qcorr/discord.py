@@ -55,9 +55,9 @@ cached per size, and seeds a Newton refine on the sphere there. The
 refine certifies the minimum, so the grid only has to choose the basin;
 it keeps 8 rows below grid_n 16, since at 4 rows, 9 lines, it chose the
 wrong basin of some real X states. It takes one 4x4 matrix or a stack
-of K; a single matrix is a stack of one. A kernel call takes as many
-states as fit in 2^11 state-direction pairs (at least one) and at most
-2^16 directions.
+of K; a single matrix is a stack of one. A kernel call takes the whole
+grid and as many states as fit in 2^11 state-direction pairs (at least
+one).
 
 The refine moves Bloch vectors, not angles, so the poles of (theta, phi),
 where a search in those angles stalls or stops at a saddle, are ordinary
@@ -112,13 +112,9 @@ REFINE_TARGET = 1e-9
 # Largest oracle grid_n: its half-sphere grid of 500 rows holds 159,068 directions.
 MAX_GRID_N = 1000
 
-# Grid directions per kernel call. At large grid_n this bounds the grid
-# phase's temporaries; the default grid, 648 directions, stays one chunk.
-_GRID_CHUNK = 1 << 16
-
 # State x direction elements per grid-phase call, which stacks several states
-# (at least one): 3 states of the default grid. Larger blocks, whose
-# temporaries outgrow the CPU's cache, measured slower, and one state slower still.
+# (at least one) over the whole grid: 3 states of the default grid. Larger blocks,
+# whose temporaries outgrow the CPU's cache, measured slower, and one state slower still.
 _GRID_BLOCK = 1 << 11
 
 # The refine's stencil as tangent coordinates (u1, u2), in radians: the four
@@ -395,11 +391,11 @@ def _avg_conditional_entropy(corr, n):
 
     ``corr[i, j]`` is R_ij = tr(rho sigma_i (x) sigma_j) with sigma_0 = I
     and ``n[0], n[1], n[2]`` are the Bloch components of the directions;
-    their trailing axes broadcast: one state's entries, each of shape (1,),
-    against an (N,) chunk of the grid, or (A, 1) columns against the
-    (A, M) stencil or line-search points of A states. Branch +- has weight
-    (R_00 +- n.a)/2, with R_00 = tr rho = 1, and the unnormalized B-side
-    Bloch vector b +- T^T n; negating n swaps them exactly, bit for bit.
+    their trailing axes broadcast: (A, 1) columns of A states against the
+    (N,) grid, or against the (A, M) stencil or line-search points of those
+    states. Branch +- has weight (R_00 +- n.a)/2, with R_00 = tr rho = 1,
+    and the unnormalized B-side Bloch vector b +- T^T n; negating n swaps
+    them exactly, bit for bit.
     """
     # u = (n.a, T^T n) = sum_k n_k R[k, :], summed over k = 1, 2, 3 in order; rows (R_00, b) +- u
     # give (2 x weight, Bloch vector) of the two branches, one at a time, the second in u's buffer
@@ -432,29 +428,18 @@ def _branch_entropy(s, x, y, z):
     return hi
 
 
-def _tiles(k, m):
-    # (states, directions) slices over k states and m directions, state by state: blocks
-    # of _GRID_BLOCK elements over a grid of one chunk, else one state per chunk of
-    # _GRID_CHUNK directions. So a state's directions come in order, before the next's
-    c = min(m, _GRID_CHUNK)
-    b = max(1, _GRID_BLOCK // m) if m == c else 1
-    return [(slice(i, i + b), slice(s, s + c)) for i in range(0, k, b) for s in range(0, m, c)]
-
-
 def _grid_phase(corr, grid_n):
     # each state's first minimum on the grid of max(8, grid_n // 2) rows, the refine's
-    # seed: (values, Bloch vectors)
+    # seed: (values, Bloch vectors), from one kernel call per block of states
     n = corr.shape[2]
     grid = _direction_grid(max(8, grid_n // 2))
-    best = np.full(n, np.inf)
-    first = np.zeros(n, dtype=int)
-    for ks, ds in _tiles(n, grid.shape[1]):
-        vals = _avg_conditional_entropy(corr[:, :, ks, None], grid[:, ds])
-        j = vals.argmin(axis=1)
-        v = vals[np.arange(len(j)), j]
-        won = v < best[ks]
-        best[ks] = np.where(won, v, best[ks])
-        first[ks] = np.where(won, ds.start + j, first[ks])
+    b = max(1, _GRID_BLOCK // grid.shape[1])
+    best = np.empty(n)
+    first = np.empty(n, dtype=int)
+    for i in range(0, n, b):
+        vals = _avg_conditional_entropy(corr[:, :, i : i + b, None], grid)
+        first[i : i + b] = vals.argmin(axis=1)
+        best[i : i + b] = vals.min(axis=1)
     return best, grid[:, first]
 
 

@@ -829,23 +829,30 @@ def test_refine_polls_several_halving_levels_per_kernel_call(monkeypatch):
 
 
 def test_grid_phase_chunks_keep_the_first_minimum(monkeypatch):
-    # at grid_n 330 the grid's 17,309 directions are one chunk, and at the
-    # default the 648 of 32 rows. Chunks of 200 split both grids, and chunks of
-    # 1000 the first, at many places, between directions that tie on the
-    # product and maximally mixed states; blocks of one element give each
-    # state calls of its own
+    # a kernel call takes the whole grid: 17,309 directions at grid_n 330 and
+    # the 648 of 32 rows at the default, where directions tie on the product
+    # and maximally mixed states. Blocks of one element give each state calls
+    # of its own, and blocks of 2^20 put many states in one call on either grid
     d = discord_module
     stack = _mixed_stack()
-    assert d._direction_grid(165).shape[1] == 17309 < d._GRID_CHUNK
+    assert d._direction_grid(165).shape[1] == 17309
     assert d._direction_grid(32).shape[1] == 648
     large = {p: qd_numeric(stack, grid_n=330, partition=p) for p in "AB"}
     default = {p: qd_numeric(stack, partition=p) for p in "AB"}
     assert np.max(np.abs(large["A"] - _lockstep_qd_numeric(stack, grid_n=330))) <= SERIAL_BOUND
-    for name, value in (("_GRID_CHUNK", 200), ("_GRID_CHUNK", 1000), ("_GRID_BLOCK", 1)):
-        monkeypatch.setattr(d, name, value)
+    for value in (1, 1 << 20):
+        monkeypatch.setattr(d, "_GRID_BLOCK", value)
         for partition in ("A", "B"):
             assert qd_numeric(stack, grid_n=330, partition=partition).tobytes() == large[partition].tobytes()
             assert qd_numeric(stack, partition=partition).tobytes() == default[partition].tobytes()
+    monkeypatch.undo()
+    # past 2^16 directions, 159,068 at grid_n 1000, the search over chunks of 2^16
+    # directions that the whole-grid call replaced gives the same bits
+    cap = {p: qd_numeric(stack, grid_n=1000, partition=p) for p in "AB"}
+    monkeypatch.setattr(d, "_grid_phase", lambda corr, g: _exhaustive_grid_phase(corr, max(8, g // 2)))
+    for partition in ("A", "B"):
+        assert qd_numeric(stack, grid_n=1000, partition=partition).tobytes() == cap[partition].tobytes()
+    monkeypatch.undo()
     # a kernel that ties every direction: the refine must still start from
     # the grid's first direction, theta = phi = 0, the z axis, so its first
     # stencil points are (+-h, 0) and (0, +-h) along x and y about it
@@ -864,8 +871,9 @@ def test_grid_phase_chunks_keep_the_first_minimum(monkeypatch):
 
 
 def test_grid_phase_memory_is_bounded_at_the_grid_cap():
-    # the direction grids are a cache; the search's own temporaries at the
-    # cap, a grid of 159,068 directions, stay near one chunk's, not the whole grid's
+    # the direction grids are a cache; at the cap, a grid of 159,068
+    # directions, the search's own temporaries are those of one state's
+    # pass over the whole grid
     rho = werner(0.2)
     grids = discord_module._direction_grid
     grids.cache_clear()
@@ -900,8 +908,8 @@ def _exhaustive_grid_phase(corr, grid_n):
     best = np.empty(n)
     bn = np.empty((3, n))
     for k in range(n):
-        for s in range(0, grid.shape[1], d._GRID_CHUNK):
-            vals = d._avg_conditional_entropy(corr[:, :, k, None], grid[:, s : s + d._GRID_CHUNK])
+        for s in range(0, grid.shape[1], 1 << 16):
+            vals = d._avg_conditional_entropy(corr[:, :, k, None], grid[:, s : s + (1 << 16)])
             j = int(np.argmin(vals))
             if s == 0 or vals[j] < best[k]:
                 best[k], bn[:, k] = vals[j], grid[:, s + j]
@@ -1005,7 +1013,7 @@ def test_kernel_equals_the_frozen_kernel_bit_for_bit():
         corr = d._correlation_matrices(stack)
         if partition == "B":
             corr = corr.swapaxes(0, 1)
-        chunk = d._direction_grid(330)[:, : d._GRID_CHUNK]
+        chunk = d._direction_grid(330)[:, : 1 << 16]
         for k in range(len(stack)):
             for grid in (d._direction_grid(64), chunk):
                 got = d._avg_conditional_entropy(corr[:, :, k, None], grid)
