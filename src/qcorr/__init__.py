@@ -47,7 +47,6 @@ from .linalg import (
     NumericError,
     binary_entropy,
     hermitian_eigenvalues,
-    is_hermitian,
     partial_trace,
     von_neumann_entropy,
 )

@@ -87,6 +87,9 @@ class DeformationSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError("unknown family %r, expected one of %r" % (self.family, FAMILIES))
+        for name, families in (("N", ("poschl_teller", "morse")), ("kappa", ("exciton",))):
+            if getattr(self, name) is not None and self.family not in families:
+                raise DomainError("%s does not apply to family %s" % (name, self.family))
         if self.family in ("poschl_teller", "morse"):
             _integer(self.N, "%s N" % self.family, 1)
             hard_nmax(self)  # an N too large for a float window fails here

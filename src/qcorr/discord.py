@@ -209,10 +209,13 @@ def luders_update(rho, direction, m, partition="A", tol=None):
     after the Lueders update. A branch whose probability is within
     tolerance of zero is flagged empty (conditional state None, mixing
     weight nan) so callers exclude it from entropy averages. ``rho``
-    must be a 4x4 density matrix: Hermitian, unit trace within tolerance.
+    must be a 4x4 density matrix: Hermitian, unit trace and eigenvalues
+    in [0, 1] within tolerance, so no branch probability leaves [0, 1]
+    by more than the tolerance.
     """
     t = resolve_tolerance(tol)
-    rho = _check_densities(_shaped(rho, "matrix", (4, 4)), t)
+    rho = _shaped(rho, "matrix", (4, 4))
+    _check_densities(rho, t)
     proj = lifted_projector(direction, m, partition)
     prob = float(np.real(np.trace(proj @ rho)))
     if prob <= t:
@@ -479,8 +482,9 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     ----------
     rho : array_like
         4x4 density matrix, or a (K, 4, 4) stack of them (each
-        Hermitian, unit trace within tolerance). All of them are
-        validated before the search starts.
+        Hermitian, unit trace and eigenvalues in [0, 1] within
+        tolerance). All of them are validated before the search starts,
+        and in a stack a DomainError names the first failing index.
     partition : {"A", "B"}
         The measured side.
     grid_n : int
@@ -503,7 +507,7 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     single = rho.ndim == 2
     stack = rho[None] if single else rho
     _side(partition)
-    _check_densities(stack, t, single)
+    spectra = _check_densities(stack, t, single)
     n = len(stack)
     # corr[i, j, k] is R_ij of state k with the measured side first; the
     # state axis is last, so one index picks a state's entries or a column
@@ -513,8 +517,7 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
 
     # S(rho_M) - S(rho); rho_M = (R_00 I + a.sigma)/2 is a "branch" of
     # weight R_00 = 1 in the kernel's terms
-    eig = np.clip(np.linalg.eigvalsh(stack), 0.0, 1.0)
-    s_total = -np.sum(xlog2x(eig), axis=1)
+    s_total = -np.sum(xlog2x(np.clip(spectra, 0.0, 1.0)), axis=1)
     offset = _branch_entropy(*(2.0 * corr[:, 0])) - s_total
 
     best, bn = _grid_phase(corr, grid_n)

@@ -32,15 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    NumericError,
     _check_densities,
     _shaped,
     binary_entropy,
     check_range,
     float_or_array,
-    resolve_tolerance,
 )
-from .states import _SPIN_FLIP_CONJ, WERNER_RANGE, spin_flip
+from .states import _SPIN_FLIP_CONJ, WERNER_RANGE
 
 
 @dataclass(frozen=True)
@@ -69,14 +67,14 @@ def concurrence_pure(psi):
 def concurrence_mixed(rho, tol=None):
     """Wootters concurrence of an arbitrary two-qubit density matrix.
 
-    A matrix that is not 4x4, not Hermitian or whose trace is off 1
-    beyond tolerance raises DomainError. Eigenvalues of
-    rho rho~ are taken from the general (non-symmetric) 4x4 solver; a
-    failed iteration, or imaginary parts or negative real parts beyond
-    tolerance, raise NumericError.
+    A matrix that is not 4x4, not Hermitian, whose trace is off 1 or
+    whose eigenvalues leave [0, 1] beyond tolerance raises DomainError.
+    For a positive semidefinite rho, rho rho~ is similar to
+    rho^1/2 rho~ rho^1/2 (Wootters, PRL 80, 2245 (1998)), so its
+    eigenvalues l_i are real and non-negative.
 
-    The returned sqrt-eigenvalues come from an equivalent but better
-    conditioned evaluation: with X the matrix of subnormalized
+    The sqrt(l_i) come from a better conditioned evaluation than the
+    eigenvalues of rho rho~: with X the matrix of subnormalized
     eigenvectors of rho, the sqrt(l_i) are the singular values of the
     symmetric overlap matrix X^T (sy x sy) X. Square-rooting the
     eigenvalues of rho rho~ directly loses half the working precision
@@ -84,26 +82,8 @@ def concurrence_mixed(rho, tol=None):
     deficient rho, e.g. a pure state), while singular values carry no
     such amplification.
     """
-    t = resolve_tolerance(tol)
-    rho = _check_densities(_shaped(rho, "matrix", (4, 4)), t)
-    product = rho @ spin_flip(rho)
-    try:
-        eigs = np.linalg.eigvals(product)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            "eigenvalue iteration failed (%s); Frobenius norm %g"
-            % (exc, float(np.linalg.norm(product)))
-        ) from exc
-    worst_imag = float(np.max(np.abs(eigs.imag)))
-    if worst_imag > t:
-        raise NumericError(
-            "rho rho~ eigenvalues have imaginary parts up to %g" % worst_imag
-        )
-    if float(np.min(eigs.real)) < -t:
-        raise NumericError(
-            "rho rho~ eigenvalue %g is negative beyond tolerance"
-            % float(np.min(eigs.real))
-        )
+    rho = _shaped(rho, "matrix", (4, 4))
+    _check_densities(rho, tol)
     weights, vectors = np.linalg.eigh(rho)
     weights = np.clip(weights, 0.0, None)
     subnormalized = vectors * np.sqrt(weights)

@@ -8,8 +8,10 @@ entropies are in bits (log base 2).
 Every input check has its one home here: ``check_range``,
 ``resolve_tolerance`` and the private ``_shaped`` (array shape),
 ``_side``, ``_integer`` and ``_check_densities`` (Hermitian, unit
-trace). A bad array, side, integer or tolerance raises DomainError with
-the same message in every module.
+trace, eigenvalues in [0, 1]). A bad array, side, integer or tolerance
+raises DomainError with the same message in every module. The density
+check returns the spectra it computed, so a caller that needs them
+makes no eigen-solve of its own.
 
 Every hermiticity, trace, positivity and range check takes ``tol``;
 None means DEFAULT_TOLERANCE. The module keeps no state, so no call
@@ -88,26 +90,28 @@ def _integer(value, what, lo, hi=math.inf):
 
 
 def _check_densities(rho, tol=None, single=True):
-    # rho itself once each matrix is Hermitian with unit trace. rho is one
-    # matrix or a (K, n, n) stack; unless single, a message names the first
-    # failing index. Callers check every matrix before any work starts.
+    # the ascending spectra of rho, one matrix or a (K, n, n) stack, as a
+    # (K, n) array once each matrix is Hermitian with unit trace and
+    # eigenvalues in [0, 1]; eigvalsh sees no matrix that failed the first two
+    # checks. Unless single, a message names the first failing index.
     t = resolve_tolerance(tol)
     mats = rho.reshape(-1, *rho.shape[-2:])
     herm = np.max(np.abs(mats - mats.conj().swapaxes(1, 2)), axis=(1, 2))
     traces = np.real(np.trace(mats, axis1=1, axis2=2))
-    for k in range(len(mats)):
+    if not (herm.max(initial=0.0) <= t and np.abs(traces - 1.0).max(initial=0.0) <= t):
+        k = int(np.argmin((herm <= t) & (np.abs(traces - 1.0) <= t)))
         what = "density matrix" if single else "density matrix %d" % k
         if not herm[k] <= t:
             raise DomainError("%s is not Hermitian within tolerance" % what)
-        if not abs(traces[k] - 1.0) <= t:
-            raise DomainError("%s trace %g differs from 1 beyond tolerance" % (what, traces[k]))
-    return rho
-
-
-def is_hermitian(m, tol=None):
-    """True when ``m`` equals its conjugate transpose within tolerance."""
-    m = _shaped(m, "matrix", (2, 2), (4, 4))
-    return bool(np.max(np.abs(m - m.conj().T)) <= resolve_tolerance(tol))
+        raise DomainError("%s trace %g differs from 1 beyond tolerance" % (what, traces[k]))
+    vals = np.linalg.eigvalsh(mats)
+    if not (vals[:, 0].min(initial=0.0) >= -t and vals[:, -1].max(initial=0.0) <= 1.0 + t):
+        k = int(np.argmin((vals[:, 0] >= -t) & (vals[:, -1] <= 1.0 + t)))
+        raise DomainError(
+            "%s eigenvalues outside [0, 1] beyond tolerance: min=%g max=%g"
+            % ("density matrix" if single else "density matrix %d" % k, vals[k, 0], vals[k, -1])
+        )
+    return vals
 
 
 def check_range(x, lo, hi, what, tol=None):
@@ -166,15 +170,15 @@ def hermitian_eigenvalues(m, tol=None):
     """
     t = resolve_tolerance(tol)
     m = _shaped(m, "matrix", (2, 2), (4, 4))
-    if not is_hermitian(m, t):
+    if not np.max(np.abs(m - m.conj().T)) <= t:
         raise DomainError("input is not Hermitian within tolerance %g" % t)
-    return _clamped_eigenvalues(m, t)
+    return _clamped_eigenvalues(np.linalg.eigvalsh(m), t)
 
 
-def _clamped_eigenvalues(m, t):
-    # eigenvalues of the checked Hermitian m, descending, [-t, 0) set to 0;
-    # the warning names the caller of the public function
-    vals = np.linalg.eigvalsh(m)[::-1].copy()
+def _clamped_eigenvalues(vals, t):
+    # the ascending eigenvalues vals, descending, [-t, 0) set to 0; the
+    # warning names the caller of the public function
+    vals = vals[::-1].copy()
     tiny = (vals < 0.0) & (vals >= -t)
     if np.any(tiny):
         warnings.warn(
@@ -191,17 +195,13 @@ def von_neumann_entropy(rho, tol=None):
     Parameters
     ----------
     rho : array_like
-        Density matrix: Hermitian, positive semidefinite and unit trace
-        within tolerance.
+        2x2 or 4x4 density matrix: Hermitian, unit trace and eigenvalues
+        in [0, 1] within tolerance, else DomainError.
     """
     t = resolve_tolerance(tol)
-    vals = _clamped_eigenvalues(_check_densities(_shaped(rho, "matrix", (2, 2), (4, 4)), t), t)
-    if vals[-1] < -t or vals[0] > 1.0 + t:
-        raise DomainError(
-            "eigenvalues outside [0, 1] beyond tolerance: min=%g max=%g" % (vals[-1], vals[0])
-        )
+    spectrum = _check_densities(_shaped(rho, "matrix", (2, 2), (4, 4)), t)[0]
     out = 0.0
-    for lam in vals:
+    for lam in _clamped_eigenvalues(spectrum, t):
         lam = float(lam)
         if lam > 0.0:
             out -= lam * math.log2(min(1.0, lam))

@@ -1007,6 +1007,33 @@ def test_a_state_flag_of_another_kind_is_a_usage_error(tmp_path, monkeypatch, ca
             assert err == "usage error: %s does not apply to --kind %s\n" % (stray, kind)
 
 
+def test_a_family_flag_of_another_family_is_a_domain_error(capsys):
+    # a flag the family does not read once exited 0 with the flag dropped
+    cases = [
+        ("harmonic", ["--N", "10"], "N"),
+        ("harmonic", ["--kappa", "0.3"], "kappa"),
+        ("exciton", ["--kappa", "0.3", "--N", "10"], "N"),
+        ("poschl-teller", ["--N", "10", "--kappa", "0.3"], "kappa"),
+        ("morse", ["--N", "10", "--kappa", "0.3"], "kappa"),
+    ]
+    commands = (
+        ["sweep", "--p-step", "0.5"],
+        ["verify", "--p-step", "0.5"],
+        ["state-info", "--p", "0.5"],
+        ["crossover", "--functional", "p-crossing"],
+    )
+    for family, extra, name in cases:
+        for command in commands:
+            args = command + ["--kind", "deformed"] * (command[0] != "crossover")
+            args += ["--family", family, "--alpha", "1"] + extra
+            assert main(args) == 1, args
+            out, err = capsys.readouterr()
+            assert out == "", args
+            assert err == "domain error: %s does not apply to family %s\n" % (
+                name, family.replace("-", "_")
+            ), args
+
+
 def test_each_command_takes_this_list_of_flags():
     # adding a flag to a command that does not read it is a deliberate edit of this list
     state = ["--kind", "--wmatrix", "--concurrence", "--family", "--N", "--kappa", "--alpha",

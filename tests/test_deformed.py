@@ -51,6 +51,22 @@ def test_spec_validation():
         DeformationSpec("morse", N=18, n_max=37, override_bound=True)
 
 
+@pytest.mark.parametrize(
+    "family, kw, name",
+    [
+        ("harmonic", dict(N=10), "N"),
+        ("harmonic", dict(kappa=0.3), "kappa"),
+        ("exciton", dict(kappa=0.3, N=10), "N"),
+        ("poschl_teller", dict(N=10, kappa=0.3), "kappa"),
+        ("morse", dict(N=10, kappa=0.3), "kappa"),
+    ],
+)
+def test_a_parameter_of_another_family_is_a_domain_error(family, kw, name):
+    # once dropped without a word, so the state ignored it
+    with pytest.raises(DomainError, match="^%s does not apply to family %s$" % (name, family)):
+        DeformationSpec(family, n_max=3, **kw)
+
+
 def test_hard_nmax():
     assert hard_nmax(PT10) == 10
     assert hard_nmax(EXC03) == 5

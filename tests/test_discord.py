@@ -40,7 +40,7 @@ from qcorr import (
 )
 from qcorr import discord as discord_module
 from qcorr.discord import BRANCH_EPS, MAX_GRID_N, REFINE_TARGET
-from qcorr.linalg import PAULI_X, PAULI_Y, PAULI_Z, is_hermitian, resolve_tolerance
+from qcorr.linalg import PAULI_X, PAULI_Y, PAULI_Z, resolve_tolerance
 from qcorr.states import GWL_RANGE
 
 SQ2 = math.sqrt(2.0)
@@ -1103,7 +1103,7 @@ def _serial_qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise DomainError("expected a 4x4 density matrix, got shape %r" % (rho.shape,))
-    if not is_hermitian(rho, t):
+    if not np.max(np.abs(rho - rho.conj().T)) <= t:
         raise DomainError("density matrix is not Hermitian within tolerance")
     tr = float(np.real(np.trace(rho)))
     if abs(tr - 1.0) > t:

@@ -14,7 +14,6 @@ from qcorr import (
     binary_entropy,
     gwl,
     hermitian_eigenvalues,
-    is_hermitian,
     mixing_after_measurement,
     partial_trace,
     qd_werner,
@@ -40,7 +39,7 @@ def random_density(rng, n):
 
 def test_pauli_constants():
     for sigma in (PAULI_X, PAULI_Y, PAULI_Z):
-        assert is_hermitian(sigma)
+        assert np.array_equal(sigma, sigma.conj().T)
         assert np.allclose(sigma @ sigma, IDENTITY_2)
         assert abs(np.trace(sigma)) == 0.0
     assert np.allclose(PAULI_X @ PAULI_Y, 1j * PAULI_Z)
@@ -48,16 +47,15 @@ def test_pauli_constants():
         PAULI_X[0, 0] = 5.0  # constants are write-protected
 
 
-def test_is_hermitian():
-    assert is_hermitian(np.eye(4))
-    m = np.array([[1.0, 1j], [-1j, 2.0]])
-    assert is_hermitian(m)
-    assert not is_hermitian(np.array([[1.0, 1.0], [0.0, 1.0]]))
+def test_hermitian_eigenvalues_checks_hermiticity():
+    assert list(hermitian_eigenvalues(np.eye(4))) == [1.0] * 4
+    hermitian_eigenvalues(np.array([[1.0, 1j], [-1j, 2.0]]))
+    with pytest.raises(DomainError, match="not Hermitian"):
+        hermitian_eigenvalues(np.array([[1.0, 1.0], [0.0, 1.0]]))
     # within-tolerance asymmetry passes
-    m = np.array([[1.0, 1e-12], [0.0, 1.0]])
-    assert is_hermitian(m)
+    hermitian_eigenvalues(np.array([[1.0, 1e-12], [0.0, 1.0]]))
     with pytest.raises(DomainError):
-        is_hermitian(np.eye(3))
+        hermitian_eigenvalues(np.eye(3))
 
 
 def test_binary_entropy_values():
@@ -120,8 +118,12 @@ def test_von_neumann_entropy_checks_the_spectrum():
     # at unit trace, one bound broken past the tolerance and the other kept
     with pytest.raises(DomainError, match="outside"):
         von_neumann_entropy(np.diag([1.0, 0.0015, -0.0015, 0.0]), tol=1e-3)
-    with pytest.raises(DomainError, match="outside"), pytest.warns(UserWarning, match="clamping"):
-        von_neumann_entropy(np.diag([1.002, -0.0008, -0.0008, -0.0004]), tol=1e-3)
+    # the spectrum is checked before any eigenvalue is clamped, so this
+    # fails without a clamping warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="outside"):
+            von_neumann_entropy(np.diag([1.002, -0.0008, -0.0008, -0.0004]), tol=1e-3)
 
 
 def test_von_neumann_entropy_values():
@@ -169,7 +171,7 @@ def test_partial_trace_preserves_trace_and_hermiticity():
         for side in ("A", "B"):
             red = partial_trace(rho, side)
             assert abs(np.trace(red).real - 1.0) < 1e-12
-            assert is_hermitian(red, 1e-12)
+            assert np.max(np.abs(red - red.conj().T)) <= 1e-12
     with pytest.raises(DomainError):
         partial_trace(np.eye(4) / 4.0, "C")
     with pytest.raises(DomainError):
@@ -196,6 +198,7 @@ def test_each_input_check_has_one_home():
         "partition must be 'A' or 'B'",
         "differs from 1 beyond tolerance",
         "%s is not Hermitian within tolerance",
+        "eigenvalues outside [0, 1] beyond tolerance",
         "alpha must be finite and non-negative",
         "%s must have shape %s, got shape",
         "must be an integer in [",
@@ -213,9 +216,54 @@ def test_each_input_check_has_one_home():
         assert message not in source, message
 
 
+# Hermitian with unit trace but indefinite: eigenvalues 0.25 and 0.25 +- 0.5 sqrt(2)
+PAIRED = np.eye(4, dtype=complex) / 4.0
+PAIRED[0, 1] = PAIRED[1, 0] = PAIRED[0, 2] = PAIRED[2, 0] = 0.5
+
+# every library function that takes a density matrix
+DENSITY_CALLS = {
+    "qd_numeric": qcorr.qd_numeric,
+    "luders_update": lambda rho, tol=None: qcorr.luders_update(
+        rho, qcorr.MeasurementDirection(0.3, 0.2), 0, tol=tol
+    ),
+    "concurrence_mixed": qcorr.concurrence_mixed,
+    "von_neumann_entropy": von_neumann_entropy,
+}
+
+
+@pytest.mark.parametrize(
+    "rho", [np.diag([1.2, -0.1, -0.05, -0.05]), PAIRED], ids=["diagonal", "paired"]
+)
+def test_every_density_input_checks_the_spectrum(rho):
+    # once qd_numeric returned a value, luders_update a branch probability
+    # above 1, concurrence_mixed a NumericError and von_neumann_entropy its own
+    # DomainError; now one check refuses the state with one message
+    messages = set()
+    for call in DENSITY_CALLS.values():
+        with pytest.raises(DomainError, match=r"^density matrix eigenvalues outside \[0, 1\]") as info:
+            call(rho)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+    good = qcorr.werner(-0.5)
+    with pytest.raises(DomainError, match=r"^density matrix 1 eigenvalues outside \[0, 1\]"):
+        qcorr.qd_numeric(np.array([good, rho, good]))
+
+
+@pytest.mark.parametrize("tol", [None, 1e-3])
+def test_an_eigenvalue_half_a_tolerance_below_zero_passes(tol):
+    t = resolve_tolerance(tol)
+    for call in DENSITY_CALLS.values():
+        with warnings.catch_warnings():
+            # von_neumann_entropy clamps the eigenvalue to zero with a warning
+            warnings.simplefilter("ignore")
+            call(np.diag([0.6 + 0.5 * t, 0.4, -0.5 * t, 0.0]), tol=tol)
+        with pytest.raises(DomainError, match="eigenvalues outside"):
+            call(np.diag([0.6 + 1.5 * t, 0.4, -1.5 * t, 0.0]), tol=tol)
+
+
 def test_shape_errors_name_the_argument_and_the_shapes():
     cases = [
-        (lambda: is_hermitian(np.eye(3)), "matrix must have shape 2x2 or 4x4, got shape (3, 3)"),
+        (lambda: hermitian_eigenvalues(np.eye(3)), "matrix must have shape 2x2 or 4x4, got shape (3, 3)"),
         (lambda: partial_trace(np.eye(2), "A"), "matrix must have shape 4x4, got shape (2, 2)"),
         (lambda: qcorr.concurrence_mixed(np.eye(2) / 2.0), "matrix must have shape 4x4, got shape (2, 2)"),
         (lambda: WMatrix(np.eye(3)), "WMatrix must have shape 2x2, got shape (3, 3)"),
@@ -264,7 +312,7 @@ def test_the_public_surface_is_this_list():
         "binary_entropy", "coherent_coefficients", "concurrence_gwl_analytic",
         "concurrence_mixed", "concurrence_pure", "concurrence_quasi_bell", "concurrence_werner",
         "displacement_validity", "entropy_gwl", "eof_from_concurrence", "eof_werner", "gwl",
-        "hard_nmax", "hermitian_eigenvalues", "is_hermitian", "lifted_projector",
+        "hard_nmax", "hermitian_eigenvalues", "lifted_projector",
         "local_unitary", "luders_update", "mixing_after_measurement", "overlap",
         "partial_trace", "pure_density", "qd_gwl", "qd_gwl_analytic", "qd_numeric",
         "qd_werner", "quasi_bell_wmatrix", "random_pure_state", "reduced_entropy_gwl",
