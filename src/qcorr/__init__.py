@@ -23,7 +23,6 @@ from .discord import (
     DiscordBreakdown,
     MeasurementDirection,
     PostMeasurement,
-    entropy_gwl,
     lifted_projector,
     luders_update,
     mixing_after_measurement,
@@ -31,7 +30,6 @@ from .discord import (
     qd_gwl_analytic,
     qd_numeric,
     qd_werner,
-    reduced_entropy_gwl,
 )
 from .entanglement import (
     ConcurrenceResult,
@@ -46,7 +44,6 @@ from .linalg import (
     DomainError,
     NumericError,
     binary_entropy,
-    hermitian_eigenvalues,
     partial_trace,
     von_neumann_entropy,
 )
@@ -58,7 +55,6 @@ from .states import (
     pure_density,
     random_pure_state,
     reduced_from_wmatrix,
-    spin_flip,
     swap_qubits,
     werner,
 )

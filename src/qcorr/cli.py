@@ -42,7 +42,7 @@ from .entanglement import concurrence_pure, concurrence_werner, eof_from_concurr
 from .linalg import (
     DomainError,
     NumericError,
-    hermitian_eigenvalues,
+    _spectrum_entropy,
     partial_trace,
     von_neumann_entropy,
 )
@@ -346,10 +346,10 @@ def cmd_state_info(args):
         print("pure-state concurrence: %s" % _fmt(concurrence_pure(psi)))
         if kind == "deformed":
             print("overlap s: %s" % _fmt(s))
-    eigs = hermitian_eigenvalues(rho, tol)
+    eigs, s_total = _spectrum_entropy(rho, tol)
     print("eigenvalues: %s" % ", ".join(_fmt(v) for v in eigs))
     print("concurrence: %s" % _fmt(conc))
-    print("entropy_total: %s" % _fmt(von_neumann_entropy(rho, tol)))
+    print("entropy_total: %s" % _fmt(s_total))
     print("entropy_reduced_A: %s" % _fmt(von_neumann_entropy(partial_trace(rho, "B"), tol)))
     print("entropy_reduced_B: %s" % _fmt(von_neumann_entropy(partial_trace(rho, "A"), tol)))
     print("eof: %s" % _fmt(eof))

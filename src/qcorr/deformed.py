@@ -9,8 +9,8 @@ f(n)! = f(0) f(1) ... f(n) with f(-1)! = 1. Supported families:
                   Lamb-Dicke window k^2 (2n + 1) < 1
 * morse:          f(n) = sqrt(1 + (1 - n) / (2N)),  stated window
                   n < sqrt(2N + 1) although the expression stays
-                  positive up to n = 2N; ``override_bound`` unlocks the
-                  wider range.
+                  positive up to n = 2N, the range displacement_validity
+                  may read.
 
 Normalized kets over Fock levels 0..n_max come in three kinds:
 
@@ -74,15 +74,13 @@ class DeformationSpec:
     """One deformation family with its parameters and truncation level.
 
     ``n_max`` may be left None for operations that choose it themselves
-    (select_nmax). ``override_bound`` relaxes the stated physical window
-    to wherever the f(n) expression remains positive.
+    (select_nmax); it must lie in the family's stated window.
     """
 
     family: str
     N: int | None = None
     kappa: float | None = None
     n_max: int | None = None
-    override_bound: bool = False
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -126,18 +124,16 @@ def hard_nmax(spec):
 
 
 def _f_table(spec, top, beyond=False):
-    """[f(0), ..., f(top)] from one upward pass; past the window, DomainError.
+    """[f(0), ..., f(top)] from one upward pass; past the stated window, DomainError.
 
-    The window is the stated one, or with ``override_bound`` the levels
-    where f stays evaluable and positive: up to 2N for morse, and for the
-    exciton up to the first non-positive Laguerre factor, at most
-    MAX_NMAX. ``beyond`` selects that wider window but ends the table at
+    ``beyond`` selects the wider window of levels where f stays evaluable
+    and positive (up to 2N for morse, and for the exciton up to the first
+    non-positive Laguerre factor, at most MAX_NMAX) and ends the table at
     its edge instead of raising.
     """
-    wide = beyond or spec.override_bound
-    if spec.family == "morse" and wide:
+    if spec.family == "morse" and beyond:
         limit = 2 * int(spec.N)
-    elif spec.family == "exciton" and wide:
+    elif spec.family == "exciton" and beyond:
         limit = MAX_NMAX
     else:
         limit = hard_nmax(spec)

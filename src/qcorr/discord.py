@@ -109,6 +109,9 @@ from .states import GWL_RANGE, WERNER_RANGE, reduced_from_wmatrix
 # A state's refine stops once its Newton move falls below this (radians).
 REFINE_TARGET = 1e-9
 
+# Newton steps a state may take before qd_numeric reports it unconverged.
+MAX_REFINE_STEPS = 500
+
 # Largest oracle grid_n: its half-sphere grid of 500 rows holds 159,068 directions.
 MAX_GRID_N = 1000
 
@@ -179,15 +182,6 @@ class DiscordBreakdown:
     x0: float
     x1: float
     amplitude: float
-
-
-def entropy_gwl(p, tol=None):
-    """Total von Neumann entropy of a GWL state, in bits.
-
-    Depends on p only; the eigenvalues are (1 + 3p)/4 and (1 - p)/4
-    (threefold) regardless of the pure component.
-    """
-    return float_or_array(_gwl_kernel(0.0, p, tol, rows=4)[3])
 
 
 def lifted_projector(direction, m, partition="A"):
@@ -293,14 +287,6 @@ def _gwl_kernel(c_pure, p, tol, d=None, rows=8):
         forms = (conc, h[0], h[3] - total + cond, total, h[3], cond, x[0], x[1])
         out.reshape(rows, -1)[:, k] = forms[:rows]
     return out + 0.0  # -0.0 reads 0.0, as in float_or_array
-
-
-def reduced_entropy_gwl(c_pure, p, tol=None):
-    """Entropy of either reduced side of a GWL state, in bits.
-
-    The reduced eigenvalues are (1 +- p sqrt(1 - c^2))/2.
-    """
-    return float_or_array(_gwl_kernel(c_pure, p, tol, rows=5)[4])
 
 
 def qd_werner(p, tol=None):
@@ -460,7 +446,7 @@ def _correlation_matrices(stack):
     return np.real(pauli(per_block.transpose(1, 2, 0, 3)))
 
 
-def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
+def qd_numeric(rho, partition="A", grid_n=64, tol=None):
     """Brute-force quantum discord by measurement minimization.
 
     The first minimum on a deterministic grid over [0, pi/2] x [0, pi) in
@@ -470,7 +456,10 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     round-off could lower the value. Rank-1 projective measurements only;
     no closed-form shortcuts anywhere on this path. The half range of phi
     covers every direction up to sign, and a direction and its negative
-    give the same value (see the module docstring).
+    give the same value (see the module docstring). A state still refining
+    after MAX_REFINE_STEPS (500) Newton steps raises NumericError for the
+    lowest-index such state, with its index as ``index`` and the best
+    value found as ``best_value``.
 
     ``rho`` may be one 4x4 matrix or a stack of K of them. The grid
     phase runs several states per kernel call over a direction grid that
@@ -490,11 +479,6 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     grid_n : int
         From 8 to ``MAX_GRID_N`` (1000). The grid has max(8, grid_n // 2)
         theta rows, and a refine step is at most pi / (grid_n - 1) radians.
-    refine_iters : int
-        Cap on each state's Newton steps, at least 1. If a state has not
-        converged after that many, NumericError is raised for the
-        lowest-index such state, with its index attached as ``index``
-        and the best value found as ``best_value``.
 
     Returns
     -------
@@ -502,7 +486,6 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     """
     t = resolve_tolerance(tol)
     grid_n = _integer(grid_n, "grid_n", 8, MAX_GRID_N)
-    refine_iters = _integer(refine_iters, "refine_iters", 1)
     rho = _shaped(rho, "rho", (4, 4), (0, 4, 4))
     single = rho.ndim == 2
     stack = rho[None] if single else rho
@@ -525,7 +508,7 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
     # Newton steps on the sphere, every state still refining in each kernel call
     spacing = math.pi / (grid_n - 1)  # the step cap; grid_n also sets the grid's rows
     done = np.zeros(n, dtype=bool)
-    for _ in range(refine_iters):
+    for _ in range(MAX_REFINE_STEPS):
         act = np.flatnonzero(~done)
         if act.size == 0:
             break
@@ -573,7 +556,7 @@ def qd_numeric(rho, partition="A", grid_n=64, refine_iters=500, tol=None):
         err = NumericError(
             "measurement minimization%s did not reach %g rad in %d Newton steps; "
             "best value %r"
-            % ("" if single else " of state %d" % k, REFINE_TARGET, refine_iters, result)
+            % ("" if single else " of state %d" % k, REFINE_TARGET, MAX_REFINE_STEPS, result)
         )
         err.index = k
         err.best_value = result

@@ -157,36 +157,25 @@ def binary_entropy(x, tol=None):
     return float_or_array(-(xlog2x(x) + xlog2x(1.0 - x)))
 
 
-def hermitian_eigenvalues(m, tol=None):
-    """Eigenvalues of a Hermitian 2x2 or 4x4 matrix, sorted descending.
-
-    Eigenvalues in [-tol, 0) are clamped to zero with a warning so that
-    downstream positivity-sensitive code (square roots, logs) stays in
-    domain. Genuinely negative eigenvalues pass through untouched.
-
-    Returns
-    -------
-    numpy.ndarray
-    """
+def _spectrum_entropy(rho, tol, stacklevel=2):
+    # (descending eigenvalues, von Neumann entropy) of one 2x2 or 4x4 density
+    # matrix from one checked spectrum; eigenvalues in [-tol, 0) are set to 0
+    # with a warning at warnings.warn's ``stacklevel``: 2 names the caller
     t = resolve_tolerance(tol)
-    m = _shaped(m, "matrix", (2, 2), (4, 4))
-    if not np.max(np.abs(m - m.conj().T)) <= t:
-        raise DomainError("input is not Hermitian within tolerance %g" % t)
-    return _clamped_eigenvalues(np.linalg.eigvalsh(m), t)
-
-
-def _clamped_eigenvalues(vals, t):
-    # the ascending eigenvalues vals, descending, [-t, 0) set to 0; the
-    # warning names the caller of the public function
-    vals = vals[::-1].copy()
+    vals = _check_densities(_shaped(rho, "matrix", (2, 2), (4, 4)), t)[0][::-1].copy()
     tiny = (vals < 0.0) & (vals >= -t)
     if np.any(tiny):
         warnings.warn(
             "clamping %d eigenvalue(s) in [-%g, 0) to zero" % (int(np.sum(tiny)), t),
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
         vals[tiny] = 0.0
-    return vals
+    out = 0.0
+    for lam in vals:
+        lam = float(lam)
+        if lam > 0.0:
+            out -= lam * math.log2(min(1.0, lam))
+    return vals, max(0.0, out)
 
 
 def von_neumann_entropy(rho, tol=None):
@@ -196,16 +185,10 @@ def von_neumann_entropy(rho, tol=None):
     ----------
     rho : array_like
         2x2 or 4x4 density matrix: Hermitian, unit trace and eigenvalues
-        in [0, 1] within tolerance, else DomainError.
+        in [0, 1] within tolerance, else DomainError. Eigenvalues in
+        [-tol, 0) count as zero, with a warning that names the caller.
     """
-    t = resolve_tolerance(tol)
-    spectrum = _check_densities(_shaped(rho, "matrix", (2, 2), (4, 4)), t)[0]
-    out = 0.0
-    for lam in _clamped_eigenvalues(spectrum, t):
-        lam = float(lam)
-        if lam > 0.0:
-            out -= lam * math.log2(min(1.0, lam))
-    return max(0.0, out)
+    return _spectrum_entropy(rho, tol, stacklevel=3)[1]
 
 
 def partial_trace(rho, partition):

@@ -141,11 +141,6 @@ def gwl(psi, p, tol=None):
     return (1.0 - p) / 4.0 * np.eye(4, dtype=complex) + p * pure_density(psi)
 
 
-def spin_flip(rho):
-    """Spin-flipped state (sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
-    return _SPIN_FLIP_CONJ @ _shaped(rho, "matrix", (4, 4)).conj() @ _SPIN_FLIP_CONJ
-
-
 def reduced_from_wmatrix(psi, partition):
     """Reduced state of one side of a pure state, straight from W.
 

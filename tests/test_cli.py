@@ -1,4 +1,5 @@
 import functools
+import inspect
 import math
 import shlex
 import sys
@@ -579,6 +580,30 @@ def test_tol_flag_does_not_outlive_its_command(capsys):
     capsys.readouterr()
     with pytest.raises(DomainError):
         werner(1.0 / 3.0 + 5e-4)
+
+
+def test_state_info_reads_one_spectrum_of_rho(monkeypatch, capsys):
+    # the eigenvalues and entropy_total lines share one eigen-solve of rho; once
+    # there were two, each warning "clamping 3 eigenvalue(s)" for this state
+    shapes = []
+    real = np.linalg.eigvalsh
+
+    def counted(a, *args, **kw):
+        shapes.append(np.shape(a)[-2:])
+        return real(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["state-info", "--kind", "werner", "--p", "-1.0005", "--tol", "1e-3"]) == 0
+    assert "eigenvalues: 1.000375, 0.0, 0.0, 0.0\n" in capsys.readouterr().out
+    # rho once, then the two reduced states
+    assert sorted(shapes) == [(2, 2), (2, 2), (4, 4)]
+    assert [str(w.message) for w in caught] == ["clamping 3 eigenvalue(s) in [-0.001, 0) to zero"]
+    # the warning names cmd_state_info's line, not the library's
+    lines, first = inspect.getsourcelines(cli.cmd_state_info)
+    assert caught[0].filename == cli.__file__
+    assert first < caught[0].lineno < first + len(lines)
 
 
 def test_crossover_identical_states_exit_3(capsys):

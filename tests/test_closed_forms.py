@@ -24,7 +24,6 @@ from qcorr import (
     concurrence_gwl_analytic,
     concurrence_pure,
     concurrence_werner,
-    entropy_gwl,
     eof_from_concurrence,
     eof_werner,
     gwl,
@@ -34,7 +33,6 @@ from qcorr import (
     qd_numeric,
     qd_werner,
     random_pure_state,
-    reduced_entropy_gwl,
     reduced_from_wmatrix,
 )
 from qcorr import cli
@@ -58,8 +56,18 @@ def _load_reference():
     return module
 
 
+def _total_entropy(p, tol=None):
+    # a GWL state's total entropy, the kernel's row 3: a function of p alone
+    return float_or_array(_gwl_kernel(0.0, p, tol, rows=5)[3])
+
+
+def _reduced_entropy(c, p, tol=None):
+    # the entropy of either reduced side of a GWL state, the kernel's row 4
+    return float_or_array(_gwl_kernel(c, p, tol, rows=5)[4])
+
+
 def _mutual_information(c, p):
-    return 2.0 * reduced_entropy_gwl(c, p) - entropy_gwl(p)
+    return 2.0 * _reduced_entropy(c, p) - _total_entropy(p)
 
 
 @PROPERTY
@@ -74,7 +82,7 @@ def test_discord_lies_between_zero_and_mutual_information(c, p):
 def test_werner_discord_lies_between_zero_and_mutual_information(p):
     # both reduced states of a Werner state are maximally mixed, and its
     # total entropy is that of GWL(singlet, -p)
-    assert -1e-14 <= qd_werner(p) <= 2.0 - entropy_gwl(-p) + 1e-14
+    assert -1e-14 <= qd_werner(p) <= 2.0 - _total_entropy(-p) + 1e-14
 
 
 @PROPERTY
@@ -98,8 +106,8 @@ def test_array_call_equals_scalar_calls_bit_for_bit(points):
     cs, ps, ws = (np.array(column) for column in zip(*points))
     cases = [
         (qd_gwl, (cs, ps)),
-        (reduced_entropy_gwl, (cs, ps)),
-        (entropy_gwl, (ps,)),
+        (_reduced_entropy, (cs, ps)),
+        (_total_entropy, (ps,)),
         (concurrence_gwl_analytic, (cs, ps)),
         (eof_from_concurrence, (cs,)),
         (binary_entropy, (cs,)),
@@ -130,8 +138,8 @@ def test_nan_anywhere_in_an_array_raises_domain_error():
     calls = [
         lambda x: qd_gwl(x, good),
         lambda x: qd_gwl(good, x),
-        lambda x: reduced_entropy_gwl(x, good),
-        lambda x: entropy_gwl(x),
+        lambda x: _reduced_entropy(x, good),
+        lambda x: _total_entropy(x),
         lambda x: concurrence_gwl_analytic(good, x),
         lambda x: eof_from_concurrence(x),
         lambda x: binary_entropy(x),
@@ -172,8 +180,8 @@ def test_closed_forms_against_50_digit_reference_at_the_edges():
                 (qd_gwl(c, p), want.qd),
                 (eof_from_concurrence(conc), want.eof),
                 (conc, want.concurrence),
-                (entropy_gwl(p), want.entropy_total),
-                (reduced_entropy_gwl(c, p), want.entropy_reduced),
+                (_total_entropy(p), want.entropy_total),
+                (_reduced_entropy(c, p), want.entropy_reduced),
                 (_mutual_information(c, p), want.mutual_information),
             ):
                 worst = max(worst, abs(got - expected))
@@ -183,7 +191,7 @@ def test_closed_forms_against_50_digit_reference_at_the_edges():
             (qd_werner(p), want.qd),
             (eof_werner(p), want.eof),
             (concurrence_werner(p), want.concurrence),
-            (entropy_gwl(-p), want.entropy_total),
+            (_total_entropy(-p), want.entropy_total),
         ):
             worst = max(worst, abs(got - expected))
     assert worst < 1e-14
@@ -353,8 +361,8 @@ def test_kernel_equals_the_frozen_chain_bit_for_bit(case, tol):
         assert row.tobytes() == np.broadcast_to(ref, shape).tobytes()
     pairs = [
         (qd_gwl, _frozen_qd_gwl, (c, p, tol)),
-        (reduced_entropy_gwl, lambda *a: _frozen_gwl_closed_forms(*a)[1], (c, p, tol)),
-        (entropy_gwl, _frozen_entropy_gwl, (p, tol)),
+        (_reduced_entropy, lambda *a: _frozen_gwl_closed_forms(*a)[1], (c, p, tol)),
+        (_total_entropy, _frozen_entropy_gwl, (p, tol)),
         (concurrence_gwl_analytic, _frozen_concurrence_gwl_analytic, (c, p, tol)),
         (eof_from_concurrence, _frozen_eof_from_concurrence, (want[0], tol)),
         (binary_entropy, _frozen_binary_entropy, (c, tol)),

@@ -45,10 +45,10 @@ def test_spec_validation():
         DeformationSpec("morse", N=18, n_max=7)  # outside the stated window
     with pytest.raises(DomainError):
         DeformationSpec("harmonic", n_max=-1)
-    # override_bound stretches morse to 2N but not beyond
-    DeformationSpec("morse", N=18, n_max=36, override_bound=True)
+    # a spec keeps to the stated window; only ``beyond`` reads morse on to 2N
     with pytest.raises(DomainError):
-        DeformationSpec("morse", N=18, n_max=37, override_bound=True)
+        DeformationSpec("morse", N=18, n_max=36)
+    assert len(deformed_module._f_table(MORSE18, 40, beyond=True)) == 37
 
 
 @pytest.mark.parametrize(
@@ -83,7 +83,7 @@ def test_hard_nmax_of_windows_too_wide_for_a_float():
     assert hard_nmax(DeformationSpec("exciton", kappa=1e-160)) == MAX_NMAX + 1
     for family in ("poschl_teller", "morse"):
         with pytest.raises(DomainError, match="too wide for a float"):
-            DeformationSpec(family, N=10**400, override_bound=True, n_max=5)
+            DeformationSpec(family, N=10**400, n_max=5)
 
 
 def deformation_value(spec, n):
@@ -115,10 +115,8 @@ def test_deformation_values():
         deformation_value(EXC03, 6)
     with pytest.raises(DomainError):
         deformation_value(MORSE18, 7)
-    wide = DeformationSpec("morse", N=18, override_bound=True)
-    assert abs(deformation_value(wide, 36) - 1.0 / 6.0) < 1e-14
-    with pytest.raises(DomainError):
-        deformation_value(wide, 37)
+    wide = deformed_module._f_table(MORSE18, 37, beyond=True)
+    assert len(wide) == 37 and abs(wide[36] - 1.0 / 6.0) < 1e-14
 
 
 def test_coherent_coefficients_harmonic_poisson():
@@ -363,7 +361,7 @@ def _laguerre(n, k, x):
 
 @functools.lru_cache(maxsize=None)
 def _formula_nmax(spec):
-    # largest n where f(n) is evaluable and positive, for override use
+    # largest n where f(n) is evaluable and positive: the window ``beyond`` reads
     if spec.family == "harmonic":
         return None
     if spec.family == "poschl_teller":
@@ -381,7 +379,7 @@ def _formula_nmax(spec):
 
 
 def _value_limit(spec, beyond=False):
-    if beyond or spec.override_bound:
+    if beyond:
         return _formula_nmax(spec)
     return _frozen_hard_nmax(spec)
 
@@ -434,38 +432,44 @@ def _frozen_displacement_validity(spec, alpha, n_max):
     return alpha * alpha / 2.0 * worst
 
 
+# (spec, wide): a wide case reads the levels up to the formula window's edge,
+# through ``beyond``, the way displacement_validity does
 FROZEN_SPECS = [
-    DeformationSpec("harmonic"),
-    *(DeformationSpec("poschl_teller", N=n) for n in (1, 3, 10, 37)),
-    *(DeformationSpec("morse", N=n) for n in (1, 4, 18, 50)),
-    *(DeformationSpec("morse", N=n, override_bound=True) for n in (3, 18)),
-    *(DeformationSpec("exciton", kappa=k) for k in (0.3, 0.2, 0.1, 0.07, 0.05)),
-    *(DeformationSpec("exciton", kappa=k, override_bound=True) for k in (0.3, 0.1, 0.05)),
+    (DeformationSpec("harmonic"), False),
+    *((DeformationSpec("poschl_teller", N=n), False) for n in (1, 3, 10, 37)),
+    *((DeformationSpec("morse", N=n), False) for n in (1, 4, 18, 50)),
+    *((DeformationSpec("morse", N=n), True) for n in (3, 18)),
+    *((DeformationSpec("exciton", kappa=k), False) for k in (0.3, 0.2, 0.1, 0.07, 0.05)),
+    *((DeformationSpec("exciton", kappa=k), True) for k in (0.3, 0.1, 0.05)),
+]
+FROZEN_IDS = [
+    "%s-%s%s" % (spec.family, spec.N or spec.kappa, "-wide" if wide else "")
+    for spec, wide in FROZEN_SPECS
 ]
 
 
-def _spec_id(spec):
-    return "%s-%s%s" % (spec.family, spec.N or spec.kappa, "-wide" if spec.override_bound else "")
-
-
-@pytest.mark.parametrize("spec", FROZEN_SPECS, ids=_spec_id)
-def test_f_table_equals_the_frozen_per_level_evaluation(spec):
+@pytest.mark.parametrize("spec, wide", FROZEN_SPECS, ids=FROZEN_IDS)
+def test_f_table_equals_the_frozen_per_level_evaluation(spec, wide):
     assert hard_nmax(spec) == _frozen_hard_nmax(spec)
-    top = _value_limit(spec)
+    top = _value_limit(spec, wide)
     if top is None:
         top = 300
     else:
+        # the stated window ends the table with an error even where a wide case reads on
+        stated = _value_limit(spec)
         with pytest.raises(DomainError, match="outside the %s validity window" % spec.family):
-            deformed_module._f_table(spec, top + 1)
-    assert deformed_module._f_table(spec, top) == [_f_value(spec, n) for n in range(top + 1)]
-    assert deformation_value(spec, top) == _f_value(spec, top)
+            deformed_module._f_table(spec, stated + 1)
+    table = deformed_module._f_table(spec, top, beyond=wide)
+    assert table == [_f_value(spec, n, beyond=wide) for n in range(top + 1)]
+    if not wide:
+        assert deformation_value(spec, top) == _f_value(spec, top)
     # past the window, ``beyond`` ends the table at the formula window's edge
-    wide = deformed_module._f_table(spec, MAX_NMAX + 1, beyond=True)
+    past = deformed_module._f_table(spec, MAX_NMAX + 1, beyond=True)
     window = _formula_nmax(spec)
     if window is None:
-        assert wide == [1.0] * (MAX_NMAX + 2)
+        assert past == [1.0] * (MAX_NMAX + 2)
     else:
-        assert wide == [_f_value(spec, n, beyond=True) for n in range(window + 1)]
+        assert past == [_f_value(spec, n, beyond=True) for n in range(window + 1)]
 
 
 def test_exciton_stated_and_formula_windows_equal_the_frozen_walk():
@@ -480,21 +484,30 @@ def test_exciton_stated_and_formula_windows_equal_the_frozen_walk():
         assert hard_nmax(spec) == _frozen_hard_nmax(spec)
 
 
-@pytest.mark.parametrize("spec", FROZEN_SPECS, ids=_spec_id)
-def test_kets_and_displacement_validity_equal_the_frozen_reference(spec):
-    top = _value_limit(spec) or 60
+@pytest.mark.parametrize("spec, wide", FROZEN_SPECS, ids=FROZEN_IDS)
+def test_kets_and_displacement_validity_equal_the_frozen_reference(spec, wide):
+    # a ket keeps to the stated window; displacement_validity's n_max may leave it
+    stated = _value_limit(spec)
+    top = _value_limit(spec, wide) or 60
     for n_max in sorted({0, 1, top // 2, top}):
-        truncated = replace(spec, n_max=n_max)
+        ket = stated is None or n_max <= stated
+        if ket:
+            truncated = replace(spec, n_max=n_max)
+        else:
+            with pytest.raises(DomainError, match="outside the %s validity window" % spec.family):
+                replace(spec, n_max=n_max)
         for alpha in (0.0, 0.65, 2.5):
-            for kind in ("A", "D", "coherent"):
+            for kind in ("A", "D", "coherent") if ket else ():
                 coefficients, _ = _frozen_ket(truncated, alpha, kind)
                 assert np.array_equal(coherent_coefficients(truncated, alpha, kind), coefficients)
                 signs = np.where(np.arange(n_max + 1) % 2 == 0, 1.0, -1.0)
                 assert overlap(truncated, alpha, kind) == float(np.sum(signs * coefficients**2))
+            # a truncated spec's own n_max, else the argument
+            args = (truncated, alpha) if ket else (spec, alpha, n_max)
             try:
-                expected = _frozen_displacement_validity(truncated, alpha, n_max)
+                expected = _frozen_displacement_validity(spec, alpha, n_max)
             except DomainError:
                 with pytest.raises(DomainError, match="formula window"):
-                    displacement_validity(truncated, alpha)
+                    displacement_validity(*args)
             else:
-                assert displacement_validity(truncated, alpha) == expected
+                assert displacement_validity(*args) == expected

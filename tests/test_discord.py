@@ -19,7 +19,6 @@ from qcorr import (
     concurrence_mixed,
     concurrence_pure,
     eof_from_concurrence,
-    entropy_gwl,
     gwl,
     lifted_projector,
     local_unitary,
@@ -32,14 +31,13 @@ from qcorr import (
     qd_werner,
     quasi_bell_wmatrix,
     random_pure_state,
-    reduced_entropy_gwl,
     reduced_from_wmatrix,
     swap_qubits,
     von_neumann_entropy,
     werner,
 )
 from qcorr import discord as discord_module
-from qcorr.discord import BRANCH_EPS, MAX_GRID_N, REFINE_TARGET
+from qcorr.discord import BRANCH_EPS, MAX_GRID_N, REFINE_TARGET, _gwl_kernel
 from qcorr.linalg import PAULI_X, PAULI_Y, PAULI_Z, resolve_tolerance
 from qcorr.states import GWL_RANGE
 
@@ -75,28 +73,33 @@ def aligned_direction(psi):
     return MeasurementDirection(theta, phi)
 
 
+def _gwl_entropies(c, p):
+    # (total, reduced) entropies of a GWL state: the closed-form kernel's rows 3 and 4
+    return _gwl_kernel(c, p, None, rows=5)[3:]
+
+
 def test_entropy_closed_forms_match_eigendecomposition():
     with warnings.catch_warnings():
         # the zero eigenvalue at either range edge rounds slightly
         # negative and triggers the clamp warning
         warnings.simplefilter("ignore", UserWarning)
-        # Werner(p) is GWL(singlet, -p), whose total entropy is entropy_gwl(-p)
+        # Werner(p) is GWL(singlet, -p), whose total entropy is the GWL one at -p
         for p in np.arange(-1.0, 1.0 / 3.0 + 1e-9, 0.02):
-            assert abs(entropy_gwl(-p) - von_neumann_entropy(werner(p))) < 1e-12
-        assert abs(entropy_gwl(-1.0 / 3.0) - math.log2(3.0)) < 1e-12
-        assert entropy_gwl(0.0) == 2.0
+            assert abs(_gwl_entropies(1.0, -p)[0] - von_neumann_entropy(werner(p))) < 1e-12
+        assert abs(_gwl_entropies(1.0, -1.0 / 3.0)[0] - math.log2(3.0)) < 1e-12
+        assert _gwl_entropies(0.0, 0.0)[0] == 2.0
         for seed in range(5):
             psi = random_pure_state(seed=seed)
             c = concurrence_pure(psi)
             for p in np.arange(-1.0 / 3.0, 1.0 + 1e-9, 0.05):
                 rho = gwl(psi, p)
-                assert abs(entropy_gwl(p) - von_neumann_entropy(rho)) < 1e-12
-                red = partial_trace(rho, "B")
-                assert abs(reduced_entropy_gwl(c, p) - von_neumann_entropy(red)) < 1e-12
+                total, reduced = _gwl_entropies(c, p)
+                assert abs(total - von_neumann_entropy(rho)) < 1e-12
+                assert abs(reduced - von_neumann_entropy(partial_trace(rho, "B"))) < 1e-12
     with pytest.raises(DomainError):
-        entropy_gwl(-0.5)
+        _gwl_entropies(0.0, -0.5)
     with pytest.raises(DomainError):
-        reduced_entropy_gwl(1.5, 0.5)
+        _gwl_entropies(1.5, 0.5)
 
 
 def test_measurement_projector():
@@ -267,7 +270,7 @@ def test_qd_gwl_breakdown_consistency():
             out = qd_gwl_analytic(psi, p)
             assert abs(out.discord - (out.reduced_entropy_A - out.total_entropy + out.conditional_entropy)) < 1e-14
             assert abs(out.mutual_information - (out.reduced_entropy_A + out.reduced_entropy_B - out.total_entropy)) < 1e-14
-            assert abs(out.total_entropy - entropy_gwl(p)) < 1e-14
+            assert abs(out.total_entropy - _gwl_entropies(c, p)[0]) < 1e-14
             assert abs(out.amplitude - math.sqrt(1.0 - c * c) / 2.0) < 1e-14
             # measuring either side gives the same discord for a GWL
             assert abs(out.discord - qd_gwl_analytic(psi, p, partition="B").discord) < 1e-14
@@ -607,11 +610,8 @@ def test_luders_update_checks_its_density_matrix(rho, match):
         dict(grid_n=math.nan),  # once ValueError
         dict(grid_n=math.inf),  # once OverflowError
         dict(grid_n=8.9),  # once run at 8
-        dict(refine_iters=math.nan),  # once ValueError
-        dict(refine_iters=-3),  # once NumericError "... in -3 polls"
-        dict(refine_iters=0),  # once NumericError "... in 0 Newton steps", even when isotropic
     ],
-    ids=["grid-nan", "grid-inf", "grid-fraction", "iters-nan", "iters-negative", "iters-zero"],
+    ids=["grid-nan", "grid-inf", "grid-fraction"],
 )
 def test_qd_numeric_counts_are_integers_in_range(kw):
     (name,) = kw
@@ -633,15 +633,15 @@ def test_qd_numeric_caps_the_grid_before_building_it(monkeypatch):
         qd_numeric(werner(-0.5), grid_n=MAX_GRID_N)
 
 
-def test_qd_numeric_refinement_cap():
+def test_qd_numeric_refinement_cap(monkeypatch):
     # an anisotropic GWL state needs more than one Newton step
-    try:
-        qd_numeric(gwl(PSI3, 0.8), refine_iters=1)
-    except NumericError as err:
-        assert hasattr(err, "best_value")
-        assert abs(err.best_value - qd_gwl_analytic(PSI3, 0.8).discord) < 1e-3
-    else:
-        raise AssertionError("expected NumericError from the step cap")
+    assert discord_module.MAX_REFINE_STEPS == 500
+    monkeypatch.setattr(discord_module, "MAX_REFINE_STEPS", 1)
+    message = "^measurement minimization did not reach 1e-09 rad in 1 Newton steps; best value "
+    with pytest.raises(NumericError, match=message) as info:
+        qd_numeric(gwl(PSI3, 0.8))
+    assert info.value.index == 0
+    assert abs(info.value.best_value - qd_gwl_analytic(PSI3, 0.8).discord) < 1e-3
 
 
 # --- Newton refine against the compass search it replaced ----------------
@@ -761,14 +761,15 @@ def _mixed_stack():
 
 
 @pytest.mark.parametrize("partition", ["A", "B"])
-@pytest.mark.parametrize("refine_iters", [1, 7, 16, 17, 30, 500])
+@pytest.mark.parametrize("max_steps", [1, 7, 16, 17, 30, 500])
 @pytest.mark.parametrize("grid_n", [8, 9, 33, 64])
-def test_qd_numeric_equals_the_one_level_lockstep_search(grid_n, refine_iters, partition):
+def test_qd_numeric_equals_the_one_level_lockstep_search(grid_n, max_steps, partition, monkeypatch):
     # grid_n sets the grid's best points and the downhill step's length;
-    # refine_iters caps the Newton steps: one step stops every anisotropic
+    # MAX_REFINE_STEPS caps the Newton steps: one step stops every anisotropic
     # state, and seven let every state of the stack finish
+    monkeypatch.setattr(discord_module, "MAX_REFINE_STEPS", max_steps)
     stack = _mixed_stack()
-    kw = dict(grid_n=grid_n, refine_iters=refine_iters, partition=partition)
+    kw = dict(grid_n=grid_n, partition=partition)
     singles = [_outcome(qd_numeric, rho, **kw) for rho in stack]
     capped = [k for k, out in enumerate(singles) if isinstance(out, tuple)]
     tall = np.concatenate([stack] * 4)
@@ -785,7 +786,7 @@ def test_qd_numeric_equals_the_one_level_lockstep_search(grid_n, refine_iters, p
         assert qd_numeric(tall, **kw).tobytes() == np.tile(values, 4).tobytes()
         reference = _lockstep_qd_numeric(stack, grid_n=grid_n, partition=partition)
         assert np.max(np.abs(values - reference)) <= SERIAL_BOUND
-    assert bool(capped) == (refine_iters == 1)
+    assert bool(capped) == (max_steps == 1)
 
 
 def _count_kernel_calls(monkeypatch):
@@ -1284,22 +1285,25 @@ def test_qd_numeric_stack_rejects_bad_matrix_before_searching(monkeypatch):
         qd_numeric(np.zeros((2, 2, 4, 4)))
 
 
-def test_qd_numeric_stack_cap_reports_lowest_unconverged_state():
+def test_qd_numeric_stack_cap_reports_lowest_unconverged_state(monkeypatch):
     psi = random_pure_state(seed=3)
     # the GWL states take three Newton steps, the X saddle six
     stack = np.array([gwl(psi, 0.7), X_SADDLE, gwl(psi, 0.9)])
+    uncapped = qd_numeric(stack[0])
     # one step leaves every state unconverged: state 0 is reported
+    monkeypatch.setattr(discord_module, "MAX_REFINE_STEPS", 1)
     with pytest.raises(NumericError) as info:
-        qd_numeric(stack, refine_iters=1)
+        qd_numeric(stack)
     with pytest.raises(NumericError) as ref:
-        qd_numeric(stack[0], refine_iters=1)
+        qd_numeric(stack[0])
     assert info.value.index == 0
     assert info.value.best_value == ref.value.best_value
     # four steps finish the GWL states but not the saddle
-    assert qd_numeric(stack[0], refine_iters=4) == qd_numeric(stack[0])
+    monkeypatch.setattr(discord_module, "MAX_REFINE_STEPS", 4)
+    assert qd_numeric(stack[0]) == uncapped
     with pytest.raises(NumericError, match="of state 1 ") as info:
-        qd_numeric(stack, refine_iters=4)
+        qd_numeric(stack)
     with pytest.raises(NumericError) as ref:
-        qd_numeric(stack[1], refine_iters=4)
+        qd_numeric(stack[1])
     assert info.value.index == 1
     assert info.value.best_value == ref.value.best_value

@@ -19,10 +19,10 @@ from qcorr import (
     qd_gwl_analytic,
     qd_werner,
     random_pure_state,
-    spin_flip,
     werner,
 )
 from qcorr.linalg import PAULI_Y
+from qcorr.states import _SPIN_FLIP_CONJ
 
 SQ2 = math.sqrt(2.0)
 
@@ -253,7 +253,7 @@ def test_spin_flip_route_consistency():
     # from a hand-built spin flip, guarding the sign conventions
     p = -0.8
     rho = werner(p)
-    rho_tilde = spin_flip(rho)
+    rho_tilde = _SPIN_FLIP_CONJ @ rho.conj() @ _SPIN_FLIP_CONJ
     prod = rho @ rho_tilde
     vals = np.sort(np.sqrt(np.clip(np.linalg.eigvals(prod).real, 0.0, None)))[::-1]
     by_hand = max(0.0, vals[0] - vals[1] - vals[2] - vals[3])

@@ -13,7 +13,6 @@ from qcorr import (
     WMatrix,
     binary_entropy,
     gwl,
-    hermitian_eigenvalues,
     mixing_after_measurement,
     partial_trace,
     qd_werner,
@@ -24,11 +23,6 @@ from qcorr import (
 import qcorr
 from qcorr.deformed import DeformationSpec
 from qcorr.linalg import DEFAULT_TOLERANCE, IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, resolve_tolerance
-
-
-def random_hermitian(rng, n):
-    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return m + m.conj().T
 
 
 def random_density(rng, n):
@@ -45,17 +39,6 @@ def test_pauli_constants():
     assert np.allclose(PAULI_X @ PAULI_Y, 1j * PAULI_Z)
     with pytest.raises(ValueError):
         PAULI_X[0, 0] = 5.0  # constants are write-protected
-
-
-def test_hermitian_eigenvalues_checks_hermiticity():
-    assert list(hermitian_eigenvalues(np.eye(4))) == [1.0] * 4
-    hermitian_eigenvalues(np.array([[1.0, 1j], [-1j, 2.0]]))
-    with pytest.raises(DomainError, match="not Hermitian"):
-        hermitian_eigenvalues(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    # within-tolerance asymmetry passes
-    hermitian_eigenvalues(np.array([[1.0, 1e-12], [0.0, 1.0]]))
-    with pytest.raises(DomainError):
-        hermitian_eigenvalues(np.eye(3))
 
 
 def test_binary_entropy_values():
@@ -79,32 +62,20 @@ def test_binary_entropy_symmetry_and_domain():
         binary_entropy(1.001)
 
 
-def test_hermitian_eigenvalues_random():
-    rng = np.random.default_rng(11)
-    for n in (2, 4):
-        for _ in range(50):
-            m = random_hermitian(rng, n)
-            vals = hermitian_eigenvalues(m)
-            assert np.all(np.diff(vals) <= 0.0)  # descending
-            ref = np.sort(np.linalg.eigvalsh(m))[::-1]
-            assert np.max(np.abs(vals - ref)) < 1e-10
-            assert abs(np.sum(vals) - np.trace(m).real) < 1e-12
-
-
-def test_hermitian_eigenvalues_clamp_and_warn():
-    # a tiny negative eigenvalue inside the tolerance window clamps to 0
-    m = np.diag([1.0, -1e-12, 0.5, 0.25]).astype(complex)
+def test_von_neumann_entropy_clamps_and_warns():
+    # a tiny negative eigenvalue inside the tolerance window counts as 0, with
+    # one warning that names the caller's line, here this file
+    m = np.diag([0.5, -1e-12, 0.25, 0.25]).astype(complex)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        vals = hermitian_eigenvalues(m)
-    assert any("clamping" in str(w.message) for w in caught)
-    assert np.min(vals) == 0.0
-    # a genuinely negative eigenvalue passes through untouched
-    m = np.diag([1.0, -0.5]).astype(complex)
-    vals = hermitian_eigenvalues(m)
-    assert vals[1] == -0.5
-    with pytest.raises(DomainError):
-        hermitian_eigenvalues(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert von_neumann_entropy(m) == 1.5
+    assert [str(w.message) for w in caught] == ["clamping 1 eigenvalue(s) in [-1e-10, 0) to zero"]
+    assert caught[0].filename == __file__
+    # a genuinely negative eigenvalue is a domain error, not clamped
+    with pytest.raises(DomainError, match="outside"):
+        von_neumann_entropy(np.diag([1.5, -0.5]).astype(complex))
+    with pytest.raises(DomainError, match="not Hermitian"):
+        von_neumann_entropy(np.array([[0.5, 1.0], [0.0, 0.5]]))
 
 
 def test_von_neumann_entropy_checks_the_spectrum():
@@ -263,7 +234,7 @@ def test_an_eigenvalue_half_a_tolerance_below_zero_passes(tol):
 
 def test_shape_errors_name_the_argument_and_the_shapes():
     cases = [
-        (lambda: hermitian_eigenvalues(np.eye(3)), "matrix must have shape 2x2 or 4x4, got shape (3, 3)"),
+        (lambda: von_neumann_entropy(np.eye(3)), "matrix must have shape 2x2 or 4x4, got shape (3, 3)"),
         (lambda: partial_trace(np.eye(2), "A"), "matrix must have shape 4x4, got shape (2, 2)"),
         (lambda: qcorr.concurrence_mixed(np.eye(2) / 2.0), "matrix must have shape 4x4, got shape (2, 2)"),
         (lambda: WMatrix(np.eye(3)), "WMatrix must have shape 2x2, got shape (3, 3)"),
@@ -311,11 +282,11 @@ def test_the_public_surface_is_this_list():
         "MeasurementDirection", "NumericError", "PostMeasurement", "QuasiBellSpec", "WMatrix",
         "binary_entropy", "coherent_coefficients", "concurrence_gwl_analytic",
         "concurrence_mixed", "concurrence_pure", "concurrence_quasi_bell", "concurrence_werner",
-        "displacement_validity", "entropy_gwl", "eof_from_concurrence", "eof_werner", "gwl",
-        "hard_nmax", "hermitian_eigenvalues", "lifted_projector",
+        "displacement_validity", "eof_from_concurrence", "eof_werner", "gwl",
+        "hard_nmax", "lifted_projector",
         "local_unitary", "luders_update", "mixing_after_measurement", "overlap",
         "partial_trace", "pure_density", "qd_gwl", "qd_gwl_analytic", "qd_numeric",
-        "qd_werner", "quasi_bell_wmatrix", "random_pure_state", "reduced_entropy_gwl",
-        "reduced_from_wmatrix", "select_nmax", "spin_flip", "swap_qubits",
+        "qd_werner", "quasi_bell_wmatrix", "random_pure_state",
+        "reduced_from_wmatrix", "select_nmax", "swap_qubits",
         "von_neumann_entropy", "werner",
     }

@@ -9,18 +9,16 @@ from qcorr import (
     DomainError,
     WMatrix,
     gwl,
-    hermitian_eigenvalues,
     local_unitary,
     partial_trace,
     pure_density,
     random_pure_state,
     reduced_from_wmatrix,
-    spin_flip,
     swap_qubits,
     werner,
 )
 from qcorr.linalg import PAULI_Y
-from qcorr.states import GWL_RANGE, WERNER_RANGE
+from qcorr.states import _SPIN_FLIP_CONJ, GWL_RANGE, WERNER_RANGE
 
 SQ2 = math.sqrt(2.0)
 
@@ -44,7 +42,7 @@ def test_exchange_matrix():
     assert np.array_equal(EXCHANGE.real, expected)
     assert np.allclose(EXCHANGE @ EXCHANGE, np.eye(4))
     # eigenvalues +1 (triplet) and -1 (singlet)
-    vals = hermitian_eigenvalues(EXCHANGE)
+    vals = np.linalg.eigvalsh(EXCHANGE)[::-1]
     assert np.allclose(vals, [1.0, 1.0, 1.0, -1.0])
     # partial trace of F/2 is the maximally mixed single qubit
     for side in ("A", "B"):
@@ -131,7 +129,7 @@ def test_werner_basic():
     rho = werner(-1.0)
     assert np.max(np.abs(rho - pure_density(PHI_MINUS))) < 1e-15
     assert np.max(np.abs(rho @ rho - rho)) < 1e-15
-    vals = hermitian_eigenvalues(werner(1.0 / 3.0))
+    vals = np.linalg.eigvalsh(werner(1.0 / 3.0))[::-1]
     assert np.allclose(vals, [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 0.0], atol=1e-12)
     with pytest.raises(DomainError):
         werner(0.4)
@@ -158,7 +156,7 @@ def test_gwl_basic():
             vals = np.linalg.eigvalsh(gwl(psi, p))
             assert vals[0] > -1e-12
         # eigenvalues (1+3p)/4 and (1-p)/4 (x3)
-        vals = hermitian_eigenvalues(gwl(psi, 0.6))
+        vals = np.linalg.eigvalsh(gwl(psi, 0.6))[::-1]
         assert abs(vals[0] - (1.0 + 3.0 * 0.6) / 4.0) < 1e-12
         assert np.max(np.abs(vals[1:] - (1.0 - 0.6) / 4.0)) < 1e-12
     with pytest.raises(DomainError):
@@ -170,6 +168,11 @@ def test_gwl_basic():
 def test_gwl_of_singlet_is_werner():
     for p in np.arange(-1.0 / 3.0, 1.0 / 3.0 + 1e-9, 0.01):
         assert np.max(np.abs(gwl(PHI_MINUS, -p) - werner(p))) < 1e-15
+
+
+def spin_flip(rho):
+    # (sigma_y x sigma_y) rho* (sigma_y x sigma_y)
+    return _SPIN_FLIP_CONJ @ np.asarray(rho).conj() @ _SPIN_FLIP_CONJ
 
 
 def test_spin_flip():
@@ -199,7 +202,7 @@ def test_reduced_from_wmatrix():
         )
     # PSI2 reduced eigenvalues are (1 +- Delta0)/2 with Delta0 = sqrt(1 - (1/2)^2)
     delta0 = math.sqrt(1.0 - 0.25)
-    vals = hermitian_eigenvalues(reduced_from_wmatrix(PSI2, "A"))
+    vals = np.linalg.eigvalsh(reduced_from_wmatrix(PSI2, "A"))[::-1]
     assert np.max(np.abs(vals - [(1.0 + delta0) / 2.0, (1.0 - delta0) / 2.0])) < 1e-12
     for seed in range(10):
         psi = random_pure_state(seed=seed)
@@ -208,8 +211,8 @@ def test_reduced_from_wmatrix():
         assert np.max(np.abs(reduced_from_wmatrix(psi, "A") - partial_trace(rho, "B"))) < 1e-12
         assert np.max(np.abs(reduced_from_wmatrix(psi, "B") - partial_trace(rho, "A"))) < 1e-12
         # both reduced states share their spectrum
-        va = hermitian_eigenvalues(reduced_from_wmatrix(psi, "A"))
-        vb = hermitian_eigenvalues(reduced_from_wmatrix(psi, "B"))
+        va = np.linalg.eigvalsh(reduced_from_wmatrix(psi, "A"))[::-1]
+        vb = np.linalg.eigvalsh(reduced_from_wmatrix(psi, "B"))[::-1]
         assert np.max(np.abs(va - vb)) < 1e-12
     with pytest.raises(DomainError):
         reduced_from_wmatrix(PSI2, "C")
