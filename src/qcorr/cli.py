@@ -171,7 +171,7 @@ def build_state(args, tol):
     # only the oracle reads --grid
     if not getattr(args, "oracle", True) and args.grid is not None:
         raise UsageError("--grid applies only with --oracle")
-    # a flag of another kind would be dropped; --deformed-kind and --sign have defaults
+    # a flag of another kind would be dropped; --deformed-kind has a default
     for kind, names in (("gwl", "wmatrix concurrence"), ("deformed", "family N kappa alpha nmax")):
         for name in names.split():
             if args.kind != kind and getattr(args, name, None) is not None:
@@ -196,7 +196,7 @@ def build_state(args, tol):
     if args.alpha is None:
         raise UsageError("--alpha is required for deformed states")
     s = overlap(_deformation_spec(args), args.alpha, args.deformed_kind)
-    return "deformed", _wmatrix_from_overlap(s, args.sign), s
+    return "deformed", _wmatrix_from_overlap(s), s
 
 
 def cmd_sweep(args):
@@ -279,8 +279,6 @@ def cmd_crossover(args):
     if args.functional == "p-crossing":
         if args.pair != "eof-qd":
             raise UsageError("--functional p-crossing only applies to --pair eof-qd")
-        if args.alpha is None:
-            raise UsageError("--functional p-crossing needs --alpha")
         c = concurrence_pure(build_state(args, None)[1])
         # scan down from p = 1 for the highest sign change; 8 levels bisect it in 3 calls
         p_sep = 1.0 / (1.0 + 2.0 * c)
@@ -312,7 +310,7 @@ def cmd_crossover(args):
     spec = _deformation_spec(args)
 
     def concurrence_at(alpha, kind=args.deformed_kind):
-        return concurrence_pure(_wmatrix_from_overlap(overlap(spec, alpha, kind), args.sign))
+        return concurrence_pure(_wmatrix_from_overlap(overlap(spec, alpha, kind)))
 
     if args.pair == "eof-qd":
 
@@ -384,7 +382,6 @@ def _add_flags(sp, kinds=("werner", "gwl", "deformed"), oracle=True, grid=True, 
     sp.add_argument("--alpha", type=float, help="coherent amplitude (non-negative)")
     sp.add_argument("--nmax", type=int, help="truncation level (default: chosen by select_nmax)")
     sp.add_argument("--deformed-kind", choices=("C", "A", "D"), default="C")
-    sp.add_argument("--sign", choices=("plus", "minus"), default="plus")
     if oracle:
         sp.add_argument("--oracle", action="store_true", help="also run the numeric oracle")
     if grid:

@@ -19,7 +19,7 @@ Normalized kets over Fock levels 0..n_max come in three kinds:
 * ``D``:        c_n proportional to alpha^n f(n)! / sqrt(n!)
 
 The symmetric quasi-Bell pair of |alpha> and |-alpha> on both modes has
-the diagonal W-matrix diag(n_X (1 + s), +- n_X (1 - s)) in the even/odd
+the diagonal W-matrix diag(n_X (1 + s), n_X (1 - s)) in the even/odd
 cat basis, where s = <alpha|-alpha> is the (real) overlap and
 n_X = 1 / sqrt(2 (1 + s^2)); its concurrence is (1 - s^2)/(1 + s^2).
 
@@ -124,12 +124,12 @@ def hard_nmax(spec):
 
 
 def _f_table(spec, top, beyond=False):
-    """[f(0), ..., f(top)] from one upward pass; past the stated window, DomainError.
+    """[f(0), ..., f(top)] from one upward pass; past the window, DomainError.
 
-    ``beyond`` selects the wider window of levels where f stays evaluable
-    and positive (up to 2N for morse, and for the exciton up to the first
-    non-positive Laguerre factor, at most MAX_NMAX) and ends the table at
-    its edge instead of raising.
+    The window is the stated validity window, or with ``beyond`` the
+    formula window where f stays evaluable and positive (up to 2N for
+    morse, and for the exciton up to the first non-positive Laguerre
+    factor, at most MAX_NMAX); the error names the window and its max.
     """
     if spec.family == "morse" and beyond:
         limit = 2 * int(spec.N)
@@ -158,10 +158,10 @@ def _f_table(spec, top, beyond=False):
             if l0 <= 0.0 or l1 <= 0.0:
                 break
             table.append(scale * l1 / ((n + 1) * l0))
-    if len(table) <= top and not beyond:
+    if len(table) <= top:
         raise DomainError(
-            "level n=%d outside the %s validity window (max %d)"
-            % (len(table), spec.family, len(table) - 1)
+            "level n=%d outside the %s %s window (max %d)"
+            % (len(table), spec.family, "formula" if beyond else "validity", len(table) - 1)
         )
     return table
 
@@ -200,8 +200,8 @@ def displacement_validity(spec, alpha, n_max=None):
     phi(n) = (n + 1) f^2(n + 1) - n f^2(n) - 1; zero for the harmonic
     oscillator, small values mean the deformed displacement acts almost
     like the ordinary one. Evaluating phi(n_max) requires f one level
-    past n_max, which is allowed here even when it exceeds the stated
-    window (this function is the tool that quantifies that abuse).
+    past n_max, which may exceed the stated window (this function
+    quantifies that abuse) but not the formula window.
     """
     alpha = _amplitude(alpha)
     n_max = spec.n_max if n_max is None else n_max
@@ -209,11 +209,6 @@ def displacement_validity(spec, alpha, n_max=None):
         raise DomainError("n_max must be given (argument or spec)")
     n_max = _integer(n_max, "n_max", 0, MAX_NMAX)
     f = _f_table(spec, n_max + 1, beyond=True)
-    if len(f) < n_max + 2:
-        raise DomainError(
-            "phi(%d) needs f(%d), past the %s formula window (max %d)"
-            % (n_max, n_max + 1, spec.family, len(f) - 1)
-        )
     worst = 0.0
     for n in range(n_max + 1):
         worst = max(worst, abs((n + 1) * f[n + 1] ** 2 - n * f[n] ** 2 - 1.0))
@@ -233,42 +228,40 @@ def overlap(spec, alpha, kind):
 
 @dataclass(frozen=True)
 class QuasiBellSpec:
-    """A symmetric quasi-Bell pair of deformed coherent states."""
+    """A symmetric quasi-Bell pair of deformed coherent states, up to local unitaries."""
 
     spec: DeformationSpec
     alpha: float
     kind: str
-    sign: str = "plus"
 
     def __post_init__(self):
-        if self.sign not in ("plus", "minus"):
-            raise DomainError("sign must be 'plus' or 'minus', got %r" % (self.sign,))
         _canonical_kind(self.kind)
 
 
-def _wmatrix_from_overlap(s, sign, tol=None):
+def _concurrence_from_overlap(s):
+    # (1 - s^2)/(1 + s^2), with 1 - s^2 factored so it keeps its digits as |s| -> 1
+    return (1.0 - s) * (1.0 + s) / (1.0 + s * s)
+
+
+def _wmatrix_from_overlap(s, tol=None):
     if 1.0 - abs(s) <= resolve_tolerance(tol):
         raise DomainError(
             "overlap magnitude %g leaves no orthogonal component; "
             "the quasi-Bell pair is undefined" % abs(s)
         )
     n_x = 1.0 / math.sqrt(2.0 * (1.0 + s * s))
-    lower = n_x * (1.0 - s)
-    if sign == "minus":
-        lower = -lower
-    return WMatrix([[n_x * (1.0 + s), 0.0], [0.0, lower]], tol=tol)
+    return WMatrix([[n_x * (1.0 + s), 0.0], [0.0, n_x * (1.0 - s)]], tol=tol)
 
 
 def quasi_bell_wmatrix(qb, tol=None):
     """W-matrix of the quasi-Bell pair, diagonal in the cat-state basis."""
     s = overlap(qb.spec, qb.alpha, qb.kind)
-    return _wmatrix_from_overlap(s, qb.sign, tol=tol)
+    return _wmatrix_from_overlap(s, tol=tol)
 
 
 def concurrence_quasi_bell(qb):
     """Closed-form concurrence (1 - s^2)/(1 + s^2) of the quasi-Bell pair."""
-    s = overlap(qb.spec, qb.alpha, qb.kind)
-    return (1.0 - s * s) / (1.0 + s * s)
+    return _concurrence_from_overlap(overlap(qb.spec, qb.alpha, qb.kind))
 
 
 def select_nmax(spec, alpha, kind, tol=None):
@@ -292,7 +285,7 @@ def select_nmax(spec, alpha, kind, tol=None):
     weights = coherent_coefficients(replace(spec, n_max=cap + 1), alpha, kind) ** 2
     signed = np.where(np.arange(weights.size) % 2 == 0, weights, -weights)
     s = np.cumsum(signed)[1:] / np.cumsum(weights)[1:]
-    qd = qd_gwl((1.0 - s * s) / (1.0 + s * s), SELECT_NMAX_PROBE_P)
+    qd = qd_gwl(_concurrence_from_overlap(s), SELECT_NMAX_PROBE_P)
     converged = np.flatnonzero(np.abs(np.diff(qd)) < tol)
     if converged.size:
         return int(converged[0]) + 1

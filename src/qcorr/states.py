@@ -109,7 +109,7 @@ class WMatrix:
                 "renormalizing W-matrix with norm off by %.3g" % abs(norm - 1.0),
                 stacklevel=2,
             )
-            return cls(m / np.sqrt(norm))  # the program's own: default tolerance
+            m, tol = m / np.sqrt(norm), None  # the program's own: default tolerance
         return cls(m, tol=tol)
 
     def __repr__(self):

@@ -557,6 +557,25 @@ def test_error_exit_codes(capsys):
     assert main(["crossover", "--functional", "p-crossing", "--pair", "coherent-vs-a"]) == 1
 
 
+def test_an_overlap_of_magnitude_1_stops_the_crossover(capsys):
+    # alpha = 0 gives s = 1 and no quasi-Bell pair: a domain error, not a root at 0.0
+    argv = ["crossover", "--pair", "coherent-vs-a", "--family", "poschl-teller", "--N", "10",
+            "--nmax", "9", "--alpha-lo", "0", "--alpha-hi", "1.6"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("domain error: overlap magnitude 1 leaves no orthogonal component"), err
+
+
+def test_the_quasi_bell_pair_has_no_sign_flag_and_p_crossing_needs_alpha(capsys):
+    argv = ["sweep", "--kind", "deformed", "--family", "harmonic", "--nmax", "9", "--alpha", "1"]
+    assert main(argv + ["--sign", "minus"]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    argv = ["crossover", "--functional", "p-crossing", "--family", "harmonic", "--nmax", "9"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "usage error: --alpha is required for deformed states\n"
+
+
 def test_state_info_prints_plain_floats(capsys):
     rc = main(["state-info", "--kind", "gwl", "--concurrence", "0.5", "--p", "0.5", "--oracle", "--grid", "16"])
     assert rc == 0
@@ -789,7 +808,7 @@ def test_coherent_vs_a_keeps_the_two_call_root(family, monkeypatch, capsys):
     spec = cli._deformation_spec(args)
 
     def c(alpha, kind):
-        return concurrence_pure(cli._wmatrix_from_overlap(overlap(spec, alpha, kind), args.sign))
+        return concurrence_pure(cli._wmatrix_from_overlap(overlap(spec, alpha, kind)))
 
     def two_call_g(alpha):
         return float(np.max(qd_gwl(c(alpha, "C"), ps) - qd_gwl(c(alpha, "A"), ps)))
@@ -1062,7 +1081,7 @@ def test_a_family_flag_of_another_family_is_a_domain_error(capsys):
 def test_each_command_takes_this_list_of_flags():
     # adding a flag to a command that does not read it is a deliberate edit of this list
     state = ["--kind", "--wmatrix", "--concurrence", "--family", "--N", "--kappa", "--alpha",
-             "--nmax", "--deformed-kind", "--sign"]
+             "--nmax", "--deformed-kind"]
     p_range = ["--p-start", "--p-stop", "--p-step"]
     expected = {
         "sweep": state + ["--oracle", "--grid", "--tol"] + p_range + ["--out"],

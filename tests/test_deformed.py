@@ -4,6 +4,7 @@ import re
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,7 +18,6 @@ from qcorr import (
     displacement_validity,
     hard_nmax,
     overlap,
-    qd_gwl_analytic,
     quasi_bell_wmatrix,
     select_nmax,
 )
@@ -48,7 +48,9 @@ def test_spec_validation():
     # a spec keeps to the stated window; only ``beyond`` reads morse on to 2N
     with pytest.raises(DomainError):
         DeformationSpec("morse", N=18, n_max=36)
-    assert len(deformed_module._f_table(MORSE18, 40, beyond=True)) == 37
+    assert len(deformed_module._f_table(MORSE18, 36, beyond=True)) == 37
+    with pytest.raises(DomainError, match=r"formula window \(max 36\)"):
+        deformed_module._f_table(MORSE18, 37, beyond=True)
 
 
 @pytest.mark.parametrize(
@@ -115,8 +117,10 @@ def test_deformation_values():
         deformation_value(EXC03, 6)
     with pytest.raises(DomainError):
         deformation_value(MORSE18, 7)
-    wide = deformed_module._f_table(MORSE18, 37, beyond=True)
+    wide = deformed_module._f_table(MORSE18, 36, beyond=True)
     assert len(wide) == 37 and abs(wide[36] - 1.0 / 6.0) < 1e-14
+    with pytest.raises(DomainError, match=r"formula window \(max 36\)"):
+        deformed_module._f_table(MORSE18, 37, beyond=True)
 
 
 def test_coherent_coefficients_harmonic_poisson():
@@ -215,9 +219,7 @@ def test_overlap():
 
 def test_quasi_bell_spec_validation():
     spec = DeformationSpec("poschl_teller", N=10, n_max=9)
-    QuasiBellSpec(spec, 0.65, "A", "minus")
-    with pytest.raises(DomainError):
-        QuasiBellSpec(spec, 0.65, "A", "neg")
+    QuasiBellSpec(spec, 0.65, "A")
     with pytest.raises(DomainError):
         QuasiBellSpec(spec, 0.65, "spam")
 
@@ -231,11 +233,6 @@ def test_quasi_bell_wmatrix():
     assert abs(w.matrix[0, 0] - n_x * (1.0 + s)) < 1e-15
     assert abs(w.matrix[1, 1] - n_x * (1.0 - s)) < 1e-15
     assert w.matrix[0, 1] == 0.0 and w.matrix[1, 0] == 0.0
-    flipped = quasi_bell_wmatrix(QuasiBellSpec(spec, 0.65, "A", "minus"))
-    assert abs(flipped.matrix[1, 1] + n_x * (1.0 - s)) < 1e-15
-    # the sign choice changes neither concurrence nor discord
-    assert abs(concurrence_pure(w) - concurrence_pure(flipped)) < 1e-15
-    assert abs(qd_gwl_analytic(w, 0.7).discord - qd_gwl_analytic(flipped, 0.7).discord) < 1e-14
     with pytest.raises(DomainError):
         quasi_bell_wmatrix(QuasiBellSpec(spec, 0.0, "A"))  # s = 1, pair undefined
 
@@ -249,6 +246,17 @@ def test_concurrence_quasi_bell():
             expected = (1.0 - s * s) / (1.0 + s * s)
             assert abs(concurrence_quasi_bell(qb) - expected) < 1e-15
             assert abs(concurrence_pure(quasi_bell_wmatrix(qb)) - expected) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 1e-4])
+def test_concurrence_quasi_bell_keeps_its_digits_as_the_overlap_nears_1(alpha):
+    # 1 - s is 2e-6 and 2e-8 here, where 1 - s * s in floats keeps only part of its digits
+    spec = DeformationSpec("harmonic", n_max=20)
+    s = overlap(spec, alpha, "coherent")
+    with mpmath.workdps(50):
+        exact = (1 - mpmath.mpf(s) ** 2) / (1 + mpmath.mpf(s) ** 2)
+        c = concurrence_quasi_bell(QuasiBellSpec(spec, alpha, "coherent"))
+        assert abs(c - exact) / exact < 1e-14
 
 
 def test_select_nmax():
@@ -463,21 +471,26 @@ def test_f_table_equals_the_frozen_per_level_evaluation(spec, wide):
     assert table == [_f_value(spec, n, beyond=wide) for n in range(top + 1)]
     if not wide:
         assert deformation_value(spec, top) == _f_value(spec, top)
-    # past the window, ``beyond`` ends the table at the formula window's edge
-    past = deformed_module._f_table(spec, MAX_NMAX + 1, beyond=True)
+    # ``beyond`` reads up to the formula window's edge and raises past it
     window = _formula_nmax(spec)
     if window is None:
+        past = deformed_module._f_table(spec, MAX_NMAX + 1, beyond=True)
         assert past == [1.0] * (MAX_NMAX + 2)
     else:
-        assert past == [_f_value(spec, n, beyond=True) for n in range(window + 1)]
+        edge = deformed_module._f_table(spec, window, beyond=True)
+        assert edge == [_f_value(spec, n, beyond=True) for n in range(window + 1)]
+        with pytest.raises(DomainError, match=r"formula window \(max %d\)" % window):
+            deformed_module._f_table(spec, window + 1, beyond=True)
 
 
 def test_exciton_stated_and_formula_windows_equal_the_frozen_walk():
     for kappa in (0.3, 0.2, 0.1, 0.07, 0.05, 0.5, 0.577, 0.58, 0.9, 1.0, 1.3):
         spec = DeformationSpec("exciton", kappa=kappa)
         assert hard_nmax(spec) == _frozen_hard_nmax(spec)
-        wide = deformed_module._f_table(spec, MAX_NMAX, beyond=True)
-        assert len(wide) - 1 == _formula_nmax(spec)
+        window = _formula_nmax(spec)
+        assert len(deformed_module._f_table(spec, window, beyond=True)) == window + 1
+        with pytest.raises(DomainError, match=r"formula window \(max %d\)" % window):
+            deformed_module._f_table(spec, window + 1, beyond=True)
     # windows past the level cap: the stated one only
     for kappa in (1e-3, 1e-6):
         spec = DeformationSpec("exciton", kappa=kappa)
